@@ -23,6 +23,7 @@ struct System {
   ParticleStore<3> store;
   CellGrid<3> grid;
   LinkList list;
+  FusedBuildScratch scratch;
 
   explicit System(std::uint64_t n, bool reorder) {
     cfg.box = Vec<3>(SimConfig<3>::paper_box_edge(n));
@@ -43,11 +44,9 @@ struct System {
   }
 
   void rebuild_links() {
-    auto disp = [this](const Vec<3>& a, const Vec<3>& b) {
-      return bc.displacement(a, b);
-    };
-    build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+    SoloTeam solo;
+    build_links_fused(list, grid, store.cpositions(), store.size(),
+                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
   }
 };
 
@@ -74,11 +73,10 @@ struct SystemD {
     grid.bin(store.positions(), store.size());
     store.apply_permutation(grid.order(), store.size());
     grid.reset_order_to_identity();
-    auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-      return bc.displacement(a, b);
-    };
-    build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+    SoloTeam solo;
+    FusedBuildScratch scratch;
+    build_links_fused(list, grid, store.cpositions(), store.size(),
+                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
   }
 };
 

@@ -91,11 +91,10 @@ struct System {
     grid.bin(store.positions(), store.size());
     store.apply_permutation(grid.order(), store.size());
     grid.reset_order_to_identity();
-    auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-      return bc.displacement(a, b);
-    };
-    build_links(list, grid, store.cpositions(), store.size(), cfg.cutoff(),
-                disp);
+    SoloTeam solo;
+    FusedBuildScratch scratch;
+    build_links_fused(list, grid, store.cpositions(), store.size(),
+                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
   }
 };
 

@@ -251,11 +251,23 @@ class CellGrid {
   // Neighbour of `cell` displaced by `off`; -1 when the neighbour falls
   // outside a non-wrapped boundary.
   std::int32_t neighbor(std::int32_t cell, const std::array<int, D>& off) const {
-    std::array<int, D> c = coords_of(cell);
+    std::array<int, D> image{};
+    return neighbor_image(coords_of(cell), off, image);
+  }
+
+  // neighbor() for the cell at coordinates c, also reporting the periodic
+  // image the neighbour lies in: image[d] = +1 when the step left the top
+  // face of wrapped axis d (the neighbour's particles sit one box length
+  // higher), -1 when it left the bottom face, 0 otherwise.
+  std::int32_t neighbor_image(std::array<int, D> c,
+                              const std::array<int, D>& off,
+                              std::array<int, D>& image) const {
     for (int d = 0; d < D; ++d) {
       c[d] += off[d];
+      image[d] = 0;
       if (c[d] < 0 || c[d] >= dims_[d]) {
         if (!wrap_[d]) return -1;
+        image[d] = c[d] < 0 ? -1 : 1;
         c[d] = (c[d] + dims_[d]) % dims_[d];
       }
     }

@@ -8,6 +8,7 @@
 // the machine cost model works from measured inputs rather than estimates.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,13 +136,12 @@ struct Counters {
 
   // -- rebuild phases (cumulative nanoseconds) --------------------------------
   // Wall time per rebuild stage, accumulated by the drivers; the rebuild
-  // scaling bench and trace summaries read the breakdown from here.  When
-  // the fused link build is active (threaded drivers) the color plan is
-  // produced inside link generation and rebuild_colorplan_ns stays zero.
+  // scaling bench and trace summaries read the breakdown from here.  Link
+  // generation includes the color plan and the link-locality statistics,
+  // which the one link build produces in the same pass.
   std::uint64_t rebuild_bin_ns = 0;        // counting-sort binning
   std::uint64_t rebuild_reorder_ns = 0;    // cell-order permutation
-  std::uint64_t rebuild_linkgen_ns = 0;    // link generation (+ fused plan)
-  std::uint64_t rebuild_colorplan_ns = 0;  // separate color-plan sort
+  std::uint64_t rebuild_linkgen_ns = 0;    // links + color plan + stats
 
   // Accumulate another counter set (e.g. merging per-rank counters).
   // "Current" quantities (particles, links_core, ...) add as well, which is
@@ -153,8 +153,19 @@ struct Counters {
   // cell-order reordering).
   double mean_link_gap() const;
 
+  // Histogram bucket of a link gap: floor(log2(gap)), with gaps 0 and 1 in
+  // bucket 0 and everything past the last bucket clamped into it.
+  static int link_gap_bucket(std::uint64_t gap) {
+    const int b = static_cast<int>(std::bit_width(gap | 1u)) - 1;
+    return b < kGapBuckets - 1 ? b : kGapBuckets - 1;
+  }
+
   // Record one link gap into the sum and histogram.
-  void record_link_gap(std::uint64_t gap);
+  void record_link_gap(std::uint64_t gap) {
+    link_gap_sum += gap;
+    ++link_gap_count;
+    ++link_gap_hist[link_gap_bucket(gap)];
+  }
 
   // Fraction of recorded link gaps strictly above `capacity` (measured in
   // particles); the cache model's miss-probability estimator.

@@ -132,31 +132,17 @@ class SerialSim {
       ++counters_.reorders;
       counters_.rebuild_reorder_ns += elapsed_ns(t);
     }
-    auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-      return boundary_.displacement(a, b);
-    };
-    counters_.links_core = 0;
-    counters_.links_halo = 0;
     {
       trace::Scope gen_scope(trace::Phase::kLinkGen);
       Timer t;
-      links_.clear();
-      links_.halo_scratch.clear();
-      build_links_range(grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), disp, 0, grid_.ncells(),
-                        links_.links, links_.halo_scratch);
-      links_.n_core = links_.links.size();
-      links_.links.insert(links_.links.end(), links_.halo_scratch.begin(),
-                          links_.halo_scratch.end());
+      counters_.links_core = 0;
+      counters_.links_halo = 0;
+      SoloTeam solo;
+      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
+                        cfg_.list_radius(), boundary_.pair_disp(), solo,
+                        fused_scratch_, &counters_);
       counters_.rebuild_linkgen_ns += elapsed_ns(t);
     }
-    {
-      trace::Scope plan_scope(trace::Phase::kColorPlan);
-      Timer t;
-      build_color_plan(links_, grid_, store_.cpositions());
-      counters_.rebuild_colorplan_ns += elapsed_ns(t);
-    }
-    record_link_stats(links_, counters_);
     refresh_id_index();
     if (cfg_.drift_measured) {
       const auto pos = store_.cpositions();
@@ -249,6 +235,7 @@ class SerialSim {
   ParticleStore<D> store_;
   CellGrid<D> grid_;
   LinkList links_;
+  FusedBuildScratch fused_scratch_;
   std::vector<Link> bonds_;
   std::vector<BondedSpring> bond_springs_;
   std::vector<std::int32_t> inverse_perm_;

@@ -404,7 +404,6 @@ class MpSim {
     counters_.links_halo = 0;
     counters_.halo_particles = 0;
     counters_.particles = 0;
-    auto disp = [](const Vec<D>& a, const Vec<D>& b) { return a - b; };
     trace::Scope link_scope(trace::Phase::kLinkBuild, comm_->rank());
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
       auto& b = blocks_[k];
@@ -419,35 +418,25 @@ class MpSim {
         }
         counters_.rebuild_bin_ns += elapsed_ns(t);
       }
-      if (team_) {
-        // Fused build: list + color plan in one pass (see link_list.hpp).
+      {
+        // The one link build (list + color plan + stats, see
+        // link_list.hpp), on the team or on a one-member team.  Blocks see
+        // shifted halo copies, so the displacement is plain subtraction.
         trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
         Timer t;
-        build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
-                          cfg_.list_radius(), disp, *team_,
-                          fused_link_scratch_);
-        counters_.rebuild_linkgen_ns += elapsed_ns(t);
-      } else {
-        {
-          trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
-          Timer t;
-          b.links.clear();
-          b.links.halo_scratch.clear();
-          build_links_range(b.grid, b.store.cpositions(), b.ncore,
-                            cfg_.list_radius(), disp, 0, b.grid.ncells(),
-                            b.links.links, b.links.halo_scratch);
-          b.links.n_core = b.links.links.size();
-          b.links.links.insert(b.links.links.end(),
-                               b.links.halo_scratch.begin(),
-                               b.links.halo_scratch.end());
-          counters_.rebuild_linkgen_ns += elapsed_ns(t);
+        auto build = [&](auto& team) {
+          build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
+                            cfg_.list_radius(), PairDisp<D>{}, team,
+                            fused_link_scratch_, &counters_);
+        };
+        if (team_) {
+          build(*team_);
+        } else {
+          SoloTeam solo;
+          build(solo);
         }
-        trace::Scope scope(trace::Phase::kColorPlan, comm_->rank());
-        Timer t;
-        build_color_plan(b.links, b.grid, b.store.cpositions());
-        counters_.rebuild_colorplan_ns += elapsed_ns(t);
+        counters_.rebuild_linkgen_ns += elapsed_ns(t);
       }
-      record_link_stats(b.links, counters_);
       counters_.halo_particles += b.halo_count();
       counters_.particles += b.ncore;
     }
@@ -952,7 +941,7 @@ class MpSim {
   std::unique_ptr<smp::ThreadTeam> team_;
   std::vector<AnyAccumulator<D>> accs_;
   std::vector<BlockDomain<D>> blocks_;
-  FusedBuildScratch fused_link_scratch_;  // hybrid rebuild, reused per block
+  FusedBuildScratch fused_link_scratch_;  // link build, reused per block
   // Global prefix offsets for the fused scheme's single static partitions
   // (whole list, plus the overlapped schedule's per-section partitions).
   std::vector<std::int64_t> link_offset_;

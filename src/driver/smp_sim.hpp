@@ -86,17 +86,17 @@ class SmpSim {
       potential_ = dispatch_force_pass<D>(acc_, team_, links_, store_,
                                           model_, disp, &counters_);
     }
+    // The measured drift is taken per thread inside the update pass.
     double max_v = 0.0;
+    double max_d = 0.0;
     {
       trace::Scope scope(trace::Phase::kUpdate);
-      max_v = smp_update_positions(team_, store_, store_.size(), cfg_.dt,
-                                   cfg_.gravity, boundary_, &counters_);
+      max_v = smp_update_positions(
+          team_, store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
+          &counters_, std::span<const Vec<D>>(ref_pos_),
+          cfg_.drift_measured ? &max_d : nullptr);
     }
-    drift_.advance(max_v, [&] {
-      return max_displacement<D>(store_.cpositions(),
-                                 std::span<const Vec<D>>(ref_pos_),
-                                 store_.size());
-    });
+    drift_.advance(max_v, [&] { return max_d; });
     ++counters_.iterations;
   }
 
@@ -140,14 +140,11 @@ class SmpSim {
     {
       trace::Scope scope(trace::Phase::kLinkGen);
       Timer t;
-      auto disp = [this](const Vec<D>& a, const Vec<D>& b) {
-        return boundary_.displacement(a, b);
-      };
-      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), disp, team_, fused_scratch_);
       counters_.links_core = 0;
       counters_.links_halo = 0;
-      record_link_stats(links_, counters_);
+      build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
+                        cfg_.list_radius(), boundary_.pair_disp(), team_,
+                        fused_scratch_, &counters_);
       counters_.rebuild_linkgen_ns += elapsed_ns(t);
     }
     prepare_accumulator<D>(acc_, team_.size(), links_, store_.size());

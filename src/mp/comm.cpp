@@ -55,7 +55,10 @@ void Comm::deliver(Request& req, RawMessage msg) {
   if (msg.payload.size() > req.capacity_) {
     throw std::length_error("Comm: irecv buffer too small for message");
   }
-  std::memcpy(req.out_, msg.payload.data(), msg.payload.size());
+  // Skip the copy for an empty payload: both pointers may be null.
+  if (!msg.payload.empty()) {
+    std::memcpy(req.out_, msg.payload.data(), msg.payload.size());
+  }
   req.bytes_ = msg.payload.size();
   req.done_ = true;
   req.ticket_.reset();

@@ -91,7 +91,11 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     RawMessage m = recv_msg(src, tag);
     std::vector<T> out(m.payload.size() / sizeof(T));
-    std::memcpy(out.data(), m.payload.data(), out.size() * sizeof(T));
+    // An empty payload may come with null data pointers, which memcpy
+    // must not see even for a zero size.
+    if (!out.empty()) {
+      std::memcpy(out.data(), m.payload.data(), out.size() * sizeof(T));
+    }
     world_->recycle_buffer(std::move(m.payload));
     return out;
   }
@@ -102,7 +106,7 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     RawMessage m = recv_msg(src, tag);
     const std::size_t n = m.payload.size() / sizeof(T);
-    std::memcpy(out.data(), m.payload.data(), n * sizeof(T));
+    if (n != 0) std::memcpy(out.data(), m.payload.data(), n * sizeof(T));
     world_->recycle_buffer(std::move(m.payload));
     return n;
   }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -32,6 +33,7 @@ namespace detail {
 struct alignas(64) PadSlot {
   double pe = 0.0;
   double max_v = 0.0;
+  double max_d = 0.0;
   std::uint64_t contacts = 0;
   std::uint64_t cost_ns = 0;
 };
@@ -233,25 +235,41 @@ double smp_force_pass(smp::ThreadTeam& team, const LinkList& list,
 }
 
 // Threaded position update ("the update of positions is parallelised over
-// particles"); returns the maximum particle speed across the team.
+// particles"); returns the maximum particle speed across the team.  With
+// max_disp, each thread also measures how far its freshly updated
+// particles have moved from `ref` (their rebuild-time positions) and
+// *max_disp receives the team maximum: max is order-independent, so that
+// is max_displacement() over the whole range, bit for bit.
 template <int D>
 double smp_update_positions(smp::ThreadTeam& team, ParticleStore<D>& store,
                             std::size_t ncore, double dt,
                             const Vec<D>& gravity, const Boundary<D>& bc,
-                            Counters* counters = nullptr) {
+                            Counters* counters = nullptr,
+                            std::span<const Vec<D>> ref = {},
+                            double* max_disp = nullptr) {
   const int t_count = team.size();
   std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
   team.parallel_for(
       0, static_cast<std::int64_t>(ncore),
       [&](int tid, std::int64_t lo, std::int64_t hi) {
-        slots[static_cast<std::size_t>(tid)].max_v = kick_drift_range(
-            store, static_cast<std::size_t>(lo), static_cast<std::size_t>(hi),
-            dt, gravity, bc, nullptr);
+        auto& slot = slots[static_cast<std::size_t>(tid)];
+        const auto first = static_cast<std::size_t>(lo);
+        const auto count = static_cast<std::size_t>(hi - lo);
+        slot.max_v = kick_drift_range(store, first, first + count, dt,
+                                      gravity, bc, nullptr);
+        if (max_disp != nullptr) {
+          slot.max_d = max_displacement<D>(
+              store.cpositions().subspan(first, count),
+              ref.subspan(first, count), count);
+        }
       });
   double max_v = 0.0;
+  double max_d = 0.0;
   for (const auto& s : slots) {
     if (s.max_v > max_v) max_v = s.max_v;
+    if (s.max_d > max_d) max_d = s.max_d;
   }
+  if (max_disp != nullptr) *max_disp = max_d;
   if (counters != nullptr) counters->position_updates += ncore;
   return max_v;
 }

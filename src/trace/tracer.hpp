@@ -29,8 +29,7 @@ enum class Phase : std::uint8_t {
   kHaloBuild,    // halo template construction at rebuild
   kLinkBuild,    // whole list rebuild (outer bracket over the sub-phases)
   kBin,          // counting-sort binning into cells
-  kLinkGen,      // link generation over cells
-  kColorPlan,    // color-plan chunk sort (zero when fused into kLinkGen)
+  kLinkGen,      // link generation over cells (+ color plan and stats)
   kReorder,      // cell-order particle permutation
   kCollective,   // reductions / gathers
   kIteration,    // one whole step (outer bracket)
@@ -39,7 +38,7 @@ enum class Phase : std::uint8_t {
 };
 
 const char* to_string(Phase p);
-inline constexpr int kPhaseCount = 15;
+inline constexpr int kPhaseCount = 14;
 
 struct Event {
   Phase phase;

@@ -80,6 +80,21 @@ TEST(PointToPoint, EmptyMessage) {
   });
 }
 
+TEST(PointToPoint, EmptyMessageIrecv) {
+  // An empty payload into an empty (null) buffer completes with 0 bytes.
+  run(2, [](Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.send<int>(1, 1, std::vector<int>{});
+    } else {
+      std::vector<int> buf;
+      Request req = comm.irecv<int>(0, 1, buf);
+      comm.wait(req);
+      EXPECT_TRUE(req.done());
+      EXPECT_EQ(req.bytes(), 0u);
+    }
+  });
+}
+
 TEST(PointToPoint, SendRecvRingDoesNotDeadlock) {
   constexpr int kRanks = 5;
   run(kRanks, [](Comm& comm) {

@@ -1,10 +1,13 @@
 // Rebuild-pipeline determinism: the parallel counting sort, parallel
-// reorder and fused color-tagged link build must reproduce their serial
-// counterparts byte-for-byte for any team size, and whole trajectories
-// must therefore be thread-count-independent.
+// reorder and the one color-tagged link build must reproduce their serial
+// counterparts (for the link build: the two-pass build_links oracle)
+// byte-for-byte for any team size, and whole trajectories must therefore
+// be thread-count-independent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -21,6 +24,7 @@
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
 #include "smp/thread_team.hpp"
+#include "util/rng.hpp"
 
 namespace hdem {
 namespace {
@@ -116,33 +120,73 @@ TEST(RebuildReorder, ParallelPermutationMatchesSerial) {
   (void)b;
 }
 
+// Field-by-field equality of two lists: links, n_core and every plan array.
+void expect_same_list(const LinkList& got, const LinkList& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.n_core, want.n_core) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t l = 0; l < want.size(); ++l) {
+    ASSERT_EQ(got.links[l].i, want.links[l].i) << what << " l=" << l;
+    ASSERT_EQ(got.links[l].j, want.links[l].j) << what << " l=" << l;
+  }
+  EXPECT_EQ(got.plan.nchunks, want.plan.nchunks) << what;
+  EXPECT_EQ(got.plan.ncolors, want.plan.ncolors) << what;
+  EXPECT_EQ(got.plan.core_lo, want.plan.core_lo) << what;
+  EXPECT_EQ(got.plan.core_hi, want.plan.core_hi) << what;
+  EXPECT_EQ(got.plan.halo_lo, want.plan.halo_lo) << what;
+  EXPECT_EQ(got.plan.halo_hi, want.plan.halo_hi) << what;
+}
+
+// The link statistics record_link_stats keeps (via record_link_gap per
+// core link) must come out of the build's per-thread tallies unchanged.
+void expect_same_stats(const Counters& got, const Counters& want,
+                       const std::string& what) {
+  EXPECT_EQ(got.links_core, want.links_core) << what;
+  EXPECT_EQ(got.links_halo, want.links_halo) << what;
+  EXPECT_EQ(got.link_gap_sum, want.link_gap_sum) << what;
+  EXPECT_EQ(got.link_gap_count, want.link_gap_count) << what;
+  for (int b = 0; b < Counters::kGapBuckets; ++b) {
+    EXPECT_EQ(got.link_gap_hist[b], want.link_gap_hist[b])
+        << what << " bucket=" << b;
+  }
+}
+
+// build_links_fused against the two-pass oracle build_links, on the
+// one-member team and on thread teams of several sizes (3 and 7 leave
+// uneven cell ranges).  Returns the oracle's link count.
 template <int D>
-void expect_same_links(const CellGrid<D>& grid, std::span<const Vec<D>> pos,
-                       std::size_t ncore, double rc, const Boundary<D>& bc) {
-  auto disp = [&](const Vec<D>& x, const Vec<D>& y) {
-    return bc.displacement(x, y);
-  };
-  LinkList serial;
-  build_links(serial, grid, pos, ncore, rc, disp);
-  ASSERT_GT(serial.size(), 0u);
-  for (const int t : kTeams) {
+std::size_t expect_same_links(const CellGrid<D>& grid,
+                              std::span<const Vec<D>> pos, std::size_t ncore,
+                              double rc, const PairDisp<D>& disp) {
+  LinkList oracle;
+  Counters want;
+  build_links(oracle, grid, pos, ncore, rc, disp, &want);
+  {
+    SoloTeam solo;
+    LinkList fused;
+    FusedBuildScratch scratch;
+    Counters got;
+    build_links_fused(fused, grid, pos, ncore, rc, disp, solo, scratch, &got);
+    expect_same_list(fused, oracle, "solo");
+    expect_same_stats(got, want, "solo");
+  }
+  for (const int t : {1, 2, 3, 4, 7}) {
     smp::ThreadTeam team(t);
     LinkList fused;
     FusedBuildScratch scratch;
-    build_links_fused(fused, grid, pos, ncore, rc, disp, team, scratch);
-    ASSERT_EQ(fused.n_core, serial.n_core) << "T=" << t;
-    ASSERT_EQ(fused.size(), serial.size()) << "T=" << t;
-    for (std::size_t l = 0; l < serial.size(); ++l) {
-      ASSERT_EQ(fused.links[l].i, serial.links[l].i) << "T=" << t << " l=" << l;
-      ASSERT_EQ(fused.links[l].j, serial.links[l].j) << "T=" << t << " l=" << l;
+    Counters got;
+    // Two builds into the same list and scratch: the second reuses grown
+    // buffers, as a driver's rebuild does.
+    for (int rep = 0; rep < 2; ++rep) {
+      got = Counters{};
+      build_links_fused(fused, grid, pos, ncore, rc, disp, team, scratch,
+                        &got);
     }
-    EXPECT_EQ(fused.plan.nchunks, serial.plan.nchunks);
-    EXPECT_EQ(fused.plan.ncolors, serial.plan.ncolors);
-    EXPECT_EQ(fused.plan.core_lo, serial.plan.core_lo) << "T=" << t;
-    EXPECT_EQ(fused.plan.core_hi, serial.plan.core_hi) << "T=" << t;
-    EXPECT_EQ(fused.plan.halo_lo, serial.plan.halo_lo) << "T=" << t;
-    EXPECT_EQ(fused.plan.halo_hi, serial.plan.halo_hi) << "T=" << t;
+    const std::string what = "T=" + std::to_string(t);
+    expect_same_list(fused, oracle, what);
+    expect_same_stats(got, want, what);
   }
+  return oracle.size();
 }
 
 template <int D>
@@ -154,7 +198,7 @@ void fused_case(BoundaryKind kind, double rc, std::uint64_t n) {
   CellGrid<D> grid;
   grid.configure(Vec<D>{}, Vec<D>(1.0), rc, wrap);
   grid.bin(pos, n);
-  expect_same_links<D>(grid, pos, n, rc, bc);
+  EXPECT_GT(expect_same_links<D>(grid, pos, n, rc, bc.pair_disp()), 0u);
 }
 
 TEST(RebuildFusedLinks, MatchesSerialPeriodic2D) {
@@ -180,12 +224,139 @@ TEST(RebuildFusedLinks, MatchesSerialWithHaloParticles) {
   const std::uint64_t n = 1500;
   const std::size_t ncore = 1100;
   const auto pos = random_positions<3>(n, 77);
-  Boundary<3> bc(BoundaryKind::kWalls, Vec<3>(1.0));
   std::array<bool, 3> wrap{};
   CellGrid<3> grid;
   grid.configure(Vec<3>{}, Vec<3>(1.0), 0.12, wrap);
   grid.bin(pos, n);
-  expect_same_links<3>(grid, pos, ncore, 0.12, bc);
+  EXPECT_GT(expect_same_links<3>(grid, pos, ncore, 0.12, PairDisp<3>{}), 0u);
+}
+
+// A decomposed block as MpSim lays it out: core particles inside the
+// block, halo copies (stored after them) in a margin one cell wide, the
+// grid covering block plus margin, unwrapped, plain displacement.
+template <int D>
+void block_case(std::uint64_t seed) {
+  const double rc = 0.1;
+  const Vec<D> lo(0.3), hi(0.7);
+  const Vec<D> margin(rc);
+  Rng rng(seed);
+  std::vector<Vec<D>> pos;
+  auto draw = [&](const Vec<D>& a, const Vec<D>& b) {
+    Vec<D> x;
+    for (int d = 0; d < D; ++d) x[d] = a[d] + (b[d] - a[d]) * rng.uniform();
+    return x;
+  };
+  for (int i = 0; i < (D == 2 ? 600 : 900); ++i) pos.push_back(draw(lo, hi));
+  const std::size_t ncore = pos.size();
+  while (pos.size() < ncore + (D == 2 ? 400 : 900)) {
+    const Vec<D> x = draw(lo - margin, hi + margin);
+    bool inside = true;
+    for (int d = 0; d < D; ++d) inside = inside && x[d] >= lo[d] && x[d] < hi[d];
+    if (!inside) pos.push_back(x);
+  }
+  std::array<bool, D> wrap{};
+  CellGrid<D> grid;
+  grid.configure(lo - margin, hi + margin, rc, wrap);
+  grid.bin(pos, pos.size());
+  ASSERT_LT(ncore, pos.size());
+  EXPECT_GT(expect_same_links<D>(grid, pos, ncore, rc, PairDisp<D>{}), 0u);
+}
+
+TEST(RebuildFusedLinks, MatchesSerialDecomposedBlock2D) { block_case<2>(3); }
+TEST(RebuildFusedLinks, MatchesSerialDecomposedBlock3D) { block_case<3>(4); }
+
+// Periodic grids with `cells` cells per axis, the cell width equal to the
+// list radius (the tightest geometry the grid allows), with particles
+// placed on and one ulp either side of every cell face as well as at
+// random.  On a 3-cell axis rounding at the faces can make the minimum
+// image differ from the image the cell adjacency implies for a pair within
+// range; the build must still reproduce the oracle.
+template <int D>
+void periodic_faces_case(int cells, double box, std::uint64_t seed) {
+  // The grid takes floor(box / rc) cells; nudge rc down until that is
+  // `cells` (box / (box / cells) can round just below `cells`).
+  double rc = box / cells;
+  while (static_cast<int>(box / rc) < cells) rc = std::nextafter(rc, 0.0);
+  std::array<bool, D> wrap{};
+  wrap.fill(true);
+  CellGrid<D> grid;
+  grid.configure(Vec<D>{}, Vec<D>(box), rc, wrap);
+  ASSERT_EQ(grid.dims()[0], cells);
+  const double w = box / cells;
+  std::vector<double> coords;
+  for (int k = 0; k < cells; ++k) {
+    const double face = k * w;
+    coords.push_back(face);
+    coords.push_back(std::nextafter(face, box));
+    if (k > 0) coords.push_back(std::nextafter(face, 0.0));
+  }
+  coords.push_back(std::nextafter(box, 0.0));
+  Rng rng(seed);
+  std::vector<Vec<D>> pos;
+  // Face points along axis 0 combined with face points along the others
+  // (2-D: every combination; 3-D: the last axis random).
+  for (const double x : coords) {
+    for (const double y : coords) {
+      Vec<D> p;
+      p[0] = x;
+      p[1] = y;
+      if constexpr (D == 3) p[2] = box * rng.uniform();
+      pos.push_back(p);
+    }
+  }
+  for (int i = 0; i < 400; ++i) {
+    Vec<D> p;
+    for (int d = 0; d < D; ++d) p[d] = box * rng.uniform();
+    pos.push_back(p);
+  }
+  grid.bin(pos, pos.size());
+  const PairDisp<D> disp{Vec<D>(box), true};
+  EXPECT_GT(expect_same_links<D>(grid, pos, pos.size(), rc, disp), 0u);
+}
+
+TEST(RebuildFusedLinks, MatchesSerialThreeCellsPerAxis) {
+  // 1.4302060167127721 is a box edge where the 3-cell face rounding puts
+  // a particle at x = 2w into cell 1, whose minimum image to x = 0 is
+  // within rc although the cells are adjacent without a wrap.
+  for (const double box : {1.0, 1.4302060167127721, 0.37}) {
+    periodic_faces_case<2>(3, box, 5);
+    periodic_faces_case<3>(3, box, 6);
+  }
+}
+
+TEST(RebuildFusedLinks, MatchesSerialFourCellsPerAxis) {
+  for (const double box : {1.0, 1.4302060167127721, 0.37}) {
+    periodic_faces_case<2>(4, box, 7);
+    periodic_faces_case<3>(4, box, 8);
+  }
+}
+
+TEST(RebuildFusedLinks, MatchesSerialWithOverfullCell) {
+  // One cell holds several hundred particles — more than any fixed tile
+  // width — next to a sparse background, periodic and with walls.
+  for (const auto kind : {BoundaryKind::kPeriodic, BoundaryKind::kWalls}) {
+    Rng rng(13);
+    std::vector<Vec<2>> pos;
+    for (int i = 0; i < 700; ++i) {
+      pos.push_back(Vec<2>(0.41 + 0.08 * rng.uniform(),
+                           0.41 + 0.08 * rng.uniform()));
+    }
+    for (int i = 0; i < 800; ++i) {
+      pos.push_back(Vec<2>(rng.uniform(), rng.uniform()));
+    }
+    Boundary<2> bc(kind, Vec<2>(1.0));
+    std::array<bool, 2> wrap{};
+    wrap.fill(kind == BoundaryKind::kPeriodic);
+    CellGrid<2> grid;
+    grid.configure(Vec<2>{}, Vec<2>(1.0), 0.1, wrap);
+    grid.bin(pos, pos.size());
+    std::size_t fullest = 0;
+    for (std::int32_t c = 0; c < grid.ncells(); ++c) {
+      fullest = std::max(fullest, grid.cell_particles(c).size());
+    }
+    EXPECT_GT(fullest, 256u);
+    expect_same_links<2>(grid, pos, pos.size(), 0.1, bc.pair_disp());
+  }
 }
 
 // -- whole-trajectory determinism -----------------------------------------
@@ -289,9 +460,9 @@ void mp_trajectory_case(bool reorder) {
   const auto init = uniform_random_particles(cfg, n);
   const auto layout = DecompLayout<D>::make(2, 2);
 
-  // nthreads = 1 runs the serial per-block pipeline, nthreads > 1 the
-  // parallel one (bin_parallel + fused build); the trajectory must not
-  // depend on which was used, nor on the team size.
+  // nthreads = 1 runs the per-block pipeline on one thread (serial bin,
+  // the link build on a one-member team), nthreads > 1 on the team; the
+  // trajectory must not depend on which was used, nor on the team size.
   std::vector<StateRecord<D>> ref;
   for (const int nthreads : {1, 2, 4}) {
     typename MpSim<D>::Options opts;
