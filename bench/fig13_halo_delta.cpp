@@ -141,7 +141,7 @@ IdentityRun run_identity_mp(double skin, bool delta, int nthreads,
 }
 
 // halo_bytes_eager = halo_bytes_delta + bytes_delta_saved must hold on the
-// merged counters of every framed run (trivially 0 = 0 + 0 on legacy runs).
+// merged counters of every run (trivially 0 = 0 + 0 on delta-off runs).
 bool conserves(const Counters& c) {
   return c.halo_bytes_eager == c.halo_bytes_delta + c.bytes_delta_saved;
 }

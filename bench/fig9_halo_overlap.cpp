@@ -165,9 +165,12 @@ double modeled_comm_seconds(int np, int bpp, std::uint64_t n, int steps,
 
 // bytes(wire) must equal bytes(shared) with the window gathers counted
 // back in — the shared path may only re-route traffic, never change it.
+// Frame headers (halo_frame_overhead) ride only on wire messages, so both
+// sides compare payload bytes.
 bool bytes_conserved(const Counters& wire, const Counters& shm) {
-  return wire.bytes_sent + wire.bytes_local ==
-         shm.bytes_sent + shm.bytes_shared + shm.bytes_local;
+  return wire.bytes_sent - wire.halo_frame_overhead + wire.bytes_local ==
+         shm.bytes_sent - shm.halo_frame_overhead + shm.bytes_shared +
+             shm.bytes_local;
 }
 
 template <int D>

@@ -17,14 +17,21 @@
 //
 // The per-iteration swap is split into two phases so the driver can
 // overlap it with core-link forces: begin_swap packs and posts the first
-// dimension's sends and receives (receives land straight in the halo
-// region of each block's store — no unpack copy), and finish_swap drains
-// them and runs the remaining dimensions, which cannot start earlier
-// because they forward data received in dimension 0.  Dimension-d send
-// templates are built before dimension-d halos exist, so they never index
-// a dimension-d receive region — packing and delivery within one
-// dimension can interleave freely.  Core links only touch indices below
-// ncore, which is what makes the in-flight window safe for compute.
+// dimension's sends and receives, and finish_swap drains them and runs the
+// remaining dimensions, which cannot start earlier because they forward
+// data received in dimension 0.  Dimension-d send templates are built
+// before dimension-d halos exist, so they never index a dimension-d
+// receive region — packing and delivery within one dimension can
+// interleave freely.  Core links only touch indices below ncore, which is
+// what makes the in-flight window safe for compute.
+//
+// Every wire halo message is a stream of frames (DESIGN §3.8): a
+// HaloFrameHeader naming the destination block and entry count, then the
+// side's payload.  Receives land in a persistent per-channel buffer and
+// are applied frame by frame into each block's halo region, after the
+// header has been checked against the receiver's own template — so every
+// wire byte is validated before it is used.  With delta and coalescing off
+// each wire side is one eager frame, sent on its own per-side halo tag.
 //
 // With enable_shared_windows, edges between different ranks of the same
 // node (per the NodeMap) bypass the wire entirely: the owner publishes a
@@ -36,17 +43,15 @@
 // wire path.  Inter-node edges and the template-construction exchange
 // keep the wire; same-rank edges keep the direct copy.
 //
-// Delta-compressed, coalesced swaps (set_frame_modes, DESIGN §3.8): the
-// halo templates are frozen between rebuilds, so each wire send side can
-// keep a shadow of the (unshifted) slice it last shipped.  A framed swap
-// bit-compares the current gather against the shadow and sends a
-// HaloFrameHeader, a change bitmask, and the dense list of changed Vec<D>
-// values; the receiver patches only the masked entries of its halo
-// region, which otherwise still holds the previous copies bit-exactly —
-// reconstruction is bitwise-exact, so trajectories are bit-identical with
-// delta on or off.  Coalescing merges every wire side sharing a
-// (neighbour rank, dim, direction) into one framed message over a
-// persistent pre-sized buffer, cutting the per-message latency term when
+// Delta compression and coalescing (set_frame_modes): the halo templates
+// are frozen between rebuilds, so each wire send side can keep a shadow
+// of the (unshifted) slice it last shipped.  A delta frame carries a
+// change bitmask and the dense list of changed Vec<D> values; the
+// receiver patches only the masked entries of its halo region, which
+// otherwise still holds the previous copies bit-exactly — reconstruction
+// is bitwise-exact, so trajectories are bit-identical with delta on or
+// off.  Coalescing merges every wire side sharing a (neighbour rank, dim,
+// direction) into one message, cutting the per-message latency term when
 // blocks-per-proc > 1.  Same-node windows stage the same way: the staged
 // slice doubles as the shadow and readers copy only the masked entries.
 // A per-side adaptive fallback reverts to eager frames when the measured
@@ -230,11 +235,10 @@ class HaloExchanger {
   }
   bool shared_windows() const { return shared_; }
 
-  // Select the framed swap path (see file comment): `delta` ships bitmask
+  // Select the frame modes (see file comment): `delta` ships bitmask
   // frames of changed positions, `coalesce` merges wire sides sharing a
-  // (neighbour rank, dim, direction) into one message.  Either flag alone
-  // activates framing (coalesce-off frames carry one side each; delta-off
-  // frames carry eager payloads).  Must be called before build_templates
+  // (neighbour rank, dim, direction) into one message.  With both off each
+  // wire side is one eager frame.  Must be called before build_templates
   // and identically on every rank.
   void set_frame_modes(bool delta, bool coalesce) {
     delta_ = delta;
@@ -304,9 +308,8 @@ class HaloExchanger {
   }
 
   // Phase 1 of the swap: pack and post dimension 0's sends and receives.
-  // Remote receives are posted directly into each block's halo storage
-  // (framed receives into the channel's persistent buffer); same-rank
-  // payloads are delivered immediately.  Between begin_swap and
+  // Remote receives are posted into each channel's persistent buffer;
+  // same-rank payloads are delivered immediately.  Between begin_swap and
   // finish_swap the caller may compute anything that reads only core
   // particles (indices < ncore).
   void begin_swap(std::vector<BlockDomain<D>>& blocks, mp::Comm& comm,
@@ -335,11 +338,11 @@ class HaloExchanger {
   }
 
  private:
-  // One coalesced wire stream: every (block, side) this rank exchanges
-  // with `peer` in one (dim, direction), in ascending destination-block
-  // order, over a persistent buffer pre-sized for the all-changed worst
-  // case.  With coalescing off each channel holds exactly one side and
-  // keeps the per-side halo tag.
+  // One wire stream: every (block, side) this rank exchanges with `peer`
+  // in one (dim, direction), in ascending destination-block order, over a
+  // persistent buffer pre-sized for the all-changed worst case.  With
+  // coalescing off each channel holds exactly one side and keeps the
+  // per-side halo tag.
   struct FrameChannel {
     int peer = -1;
     int tag = 0;
@@ -347,16 +350,6 @@ class HaloExchanger {
     std::size_t capacity = 0;
     std::vector<std::byte> buf;
   };
-
-  // Identity of one legacy (unframed) posted receive, kept parallel to
-  // reqs_ so a byte mismatch can say which edge broke.
-  struct PendingRecv {
-    std::size_t expected;
-    int block;
-    int s;
-  };
-
-  bool framed() const { return delta_ || coalesce_; }
 
   void index_blocks(const std::vector<BlockDomain<D>>& blocks) {
     local_of_.clear();
@@ -409,17 +402,14 @@ class HaloExchanger {
 
   // Post one dimension's exchange: window slices staged and published
   // first (same-node readers can start copying while we pack the wire
-  // sides), then receives (straight into halo storage, or into the
-  // persistent channel buffers on the framed path), then pack and send
-  // every wire side.  Same-rank payloads are copied across immediately —
-  // their destination regions belong to this dimension, which no
-  // dimension-d send template can index; the same invariant is what makes
-  // the early stage safe, since it only reads pre-dim-d data.
+  // sides), then receives into the persistent channel buffers, then pack
+  // and send every wire channel.  Same-rank payloads are copied across
+  // immediately — their destination regions belong to this dimension,
+  // which no dimension-d send template can index; the same invariant is
+  // what makes the early stage safe, since it only reads pre-dim-d data.
   void post_dim(std::vector<BlockDomain<D>>& blocks, mp::Comm& comm,
                 Counters& counters, int d) {
     reqs_.clear();
-    pending_.clear();
-    pending_ch_.clear();
     if (shared_) {
       for (auto& b : blocks) {
         for (int s = 0; s < 2; ++s) {
@@ -431,85 +421,50 @@ class HaloExchanger {
         }
       }
     }
-    if (framed()) {
-      for (auto& ch : recv_plan_[static_cast<std::size_t>(d)]) {
-        ch.buf.resize(ch.capacity);
-        reqs_.push_back(
-            comm.irecv_bytes(ch.peer, ch.tag, std::span<std::byte>(ch.buf)));
-        pending_ch_.push_back(&ch);
-      }
-    } else {
-      for (auto& b : blocks) {
-        for (int s = 0; s < 2; ++s) {
-          auto& side = b.halo[d][s];
-          if (side.nb_block < 0 || side.nb_rank == comm.rank() ||
-              side.sub != nullptr) {
-            continue;
-          }
-          auto dest = b.store.positions().subspan(side.recv_offset,
-                                                  side.recv_count);
-          reqs_.push_back(comm.template irecv<Vec<D>>(
-              side.nb_rank, halo_tag(b.index, d, s), dest));
-          pending_.push_back(
-              {side.recv_count * sizeof(Vec<D>), b.index, s});
-        }
-      }
+    for (auto& ch : recv_plan_[static_cast<std::size_t>(d)]) {
+      ch.buf.resize(ch.capacity);
+      reqs_.push_back(
+          comm.irecv_bytes(ch.peer, ch.tag, std::span<std::byte>(ch.buf)));
     }
-    // Same-rank copies (both paths) and, on the legacy path, wire sends.
     for (auto& b : blocks) {
       for (int s = 0; s < 2; ++s) {
         auto& side = b.halo[d][s];
-        if (side.nb_block < 0 || side.pub != nullptr) continue;
-        if (side.nb_rank == comm.rank()) {
-          pack_side(b, side);
-          shift_values(d, side.shift, pack_scratch_);
-          ++counters.msgs_local;
-          counters.bytes_local += pack_scratch_.size() * sizeof(Vec<D>);
-          auto& nb = blocks[local_of_.at(side.nb_block)];
-          const auto& dest = nb.halo[d][1 - s];
-          if (pack_scratch_.size() != dest.recv_count) {
-            std::ostringstream os;
-            os << side_context("halo count changed", comm.rank(), b.index, d,
-                               s)
-               << ": local copy of " << pack_scratch_.size()
-               << " positions into a region of " << dest.recv_count;
-            throw std::logic_error(os.str());
-          }
-          auto pos = nb.store.positions();
-          std::copy(pack_scratch_.begin(), pack_scratch_.end(),
-                    pos.begin() + static_cast<std::ptrdiff_t>(dest.recv_offset));
-        } else if (!framed()) {
-          pack_side(b, side);
-          shift_values(d, side.shift, pack_scratch_);
-          comm.template isend<Vec<D>>(side.nb_rank,
-                                      halo_tag(side.nb_block, d, 1 - s),
-                                      pack_scratch_);
-          ++counters.halo_msgs_wire;
-          counters.halo_bytes_wire += pack_scratch_.size() * sizeof(Vec<D>);
+        if (side.nb_block < 0 || side.nb_rank != comm.rank()) continue;
+        pack_side(b, side);
+        shift_values(d, side.shift, pack_scratch_);
+        ++counters.msgs_local;
+        counters.bytes_local += pack_scratch_.size() * sizeof(Vec<D>);
+        auto& nb = blocks[local_of_.at(side.nb_block)];
+        const auto& dest = nb.halo[d][1 - s];
+        if (pack_scratch_.size() != dest.recv_count) {
+          std::ostringstream os;
+          os << side_context("halo count changed", comm.rank(), b.index, d, s)
+             << ": local copy of " << pack_scratch_.size()
+             << " positions into a region of " << dest.recv_count;
+          throw std::logic_error(os.str());
         }
+        auto pos = nb.store.positions();
+        std::copy(pack_scratch_.begin(), pack_scratch_.end(),
+                  pos.begin() + static_cast<std::ptrdiff_t>(dest.recv_offset));
       }
     }
-    if (framed()) {
-      for (auto& ch : send_plan_[static_cast<std::size_t>(d)]) {
-        ch.buf.clear();
-        for (const auto& [k, s] : ch.sides) {
-          append_frame(blocks[k], d, blocks[k].halo[d][s], ch.buf,
-                       counters);
-        }
-        comm.isend_bytes(ch.peer, ch.tag, std::span<const std::byte>(ch.buf));
-        ++counters.halo_msgs_wire;
-        counters.halo_bytes_wire += ch.buf.size();
-        counters.msgs_coalesced += ch.sides.size() - 1;
+    for (auto& ch : send_plan_[static_cast<std::size_t>(d)]) {
+      ch.buf.clear();
+      for (const auto& [k, s] : ch.sides) {
+        append_frame(blocks[k], d, blocks[k].halo[d][s], ch.buf, counters);
       }
+      comm.isend_bytes(ch.peer, ch.tag, std::span<const std::byte>(ch.buf));
+      ++counters.halo_msgs_wire;
+      counters.halo_bytes_wire += ch.buf.size();
+      counters.msgs_coalesced += ch.sides.size() - 1;
     }
   }
 
   // Complete the posted dimension: gather the shared-window sides (their
   // owners published this dimension's generation at the top of their
   // post_dim, so the spin is short), then wait on every wire receive
-  // (tallying overlapped vs exposed bytes inside the communicator) and
-  // verify the neighbour still sends the template-sized payload — on the
-  // framed path, parse and apply each frame in destination-block order.
+  // (tallying overlapped vs exposed bytes inside the communicator), then
+  // parse and apply each channel's frames in destination-block order.
   void complete_dim(std::vector<BlockDomain<D>>& blocks, mp::Comm& comm,
                     Counters& counters, int d) {
     if (shared_) {
@@ -533,26 +488,12 @@ class HaloExchanger {
       }
     }
     comm.wait_all(reqs_);
-    if (framed()) {
-      for (std::size_t i = 0; i < reqs_.size(); ++i) {
-        unpack_channel(blocks, comm, counters, d, *pending_ch_[i],
-                       reqs_[i].bytes());
-      }
-    } else {
-      for (std::size_t i = 0; i < reqs_.size(); ++i) {
-        if (reqs_[i].bytes() != pending_[i].expected) {
-          std::ostringstream os;
-          os << side_context("halo count changed", comm.rank(),
-                             pending_[i].block, d, pending_[i].s)
-             << ": expected " << pending_[i].expected << " bytes, got "
-             << reqs_[i].bytes();
-          throw std::logic_error(os.str());
-        }
-      }
+    // reqs_ was posted in recv_plan_ order.
+    auto& recvs = recv_plan_[static_cast<std::size_t>(d)];
+    for (std::size_t i = 0; i < reqs_.size(); ++i) {
+      unpack_channel(blocks, comm, counters, d, recvs[i], reqs_[i].bytes());
     }
     reqs_.clear();
-    pending_.clear();
-    pending_ch_.clear();
   }
 
   // Append one side's frame to a channel buffer.  Delta frames run the
@@ -831,7 +772,6 @@ class HaloExchanger {
   // pre-sized to the all-changed worst case and reused every step.
   void build_frame_plan(const std::vector<BlockDomain<D>>& blocks,
                         const mp::Comm& comm) {
-    if (!framed()) return;
     for (int d = 0; d < D; ++d) {
       auto& sends = send_plan_[static_cast<std::size_t>(d)];
       auto& recvs = recv_plan_[static_cast<std::size_t>(d)];
@@ -972,7 +912,7 @@ class HaloExchanger {
   mp::WindowRegistry* registry_ = nullptr;  // resolved at publish_windows
   std::vector<mp::HaloWindow*> published_;  // our windows, for rebuild fences
   std::uint64_t swap_epoch_ = 0;
-  // Framed swap state (rebuilt with the templates).
+  // Frame modes and wire channels (rebuilt with the templates).
   bool delta_ = false;
   bool coalesce_ = false;
   std::array<std::vector<FrameChannel>, static_cast<std::size_t>(D)>
@@ -987,8 +927,6 @@ class HaloExchanger {
   std::vector<Vec<D>> vals_scratch_;
   std::vector<std::uint64_t> mask_scratch_;
   std::vector<mp::Request> reqs_;
-  std::vector<PendingRecv> pending_;
-  std::vector<FrameChannel*> pending_ch_;
   bool in_flight_ = false;
 };
 

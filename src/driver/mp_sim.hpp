@@ -13,6 +13,10 @@
 // update loops run on the team (one parallel region per block per loop,
 // reproducing the hybrid overhead structure the paper analyses), while all
 // communication is performed by the master thread.
+//
+// Both schemes run one step schedule (step()) on one thread team; pure
+// message passing runs it on a one-member team.  The only place the two
+// differ is the force kernel (plain_kernel()).
 #pragma once
 
 #include <algorithm>
@@ -135,9 +139,7 @@ class MpSim {
     if (opts_.rebalance_threshold < 1.0) {
       throw std::invalid_argument("MpSim: rebalance threshold below 1.0");
     }
-    if (opts_.nthreads > 1) {
-      team_ = std::make_unique<smp::ThreadTeam>(opts_.nthreads);
-    }
+    team_ = std::make_unique<smp::ThreadTeam>(opts_.nthreads);
     if (opts_.shared_halo) {
       halo_.enable_shared_windows(mp::NodeMap(opts_.ranks_per_node));
     }
@@ -170,12 +172,19 @@ class MpSim {
       }
     }
     counters_.blocks = blocks_.size();
-    if (team_) accs_.resize(blocks_.size());
     rebuild();
   }
 
-  bool hybrid() const { return team_ != nullptr; }
+  bool hybrid() const { return team_->size() > 1; }
 
+  // One step, one schedule: start the halo swap; complete it before the
+  // force pass over every link (synchronous), or run the pass over core
+  // links — which never read halo data — while messages are in flight and
+  // complete the swap before the pass over halo links (overlapped); then
+  // one update pass and one collective.  Each block accumulates its core
+  // links before its halo links either way, so both schedules give the
+  // same bits.  Every block's forces may run before any block's update:
+  // halo entries are copies, so no block reads another block's core.
   void step() {
     if (!list_valid()) {
       rebuild();
@@ -194,151 +203,29 @@ class MpSim {
       trace::Scope scope(trace::Phase::kHaloSwap, comm_->rank());
       halo_.begin_swap(blocks_, *comm_, counters_);
     }
-    if (!opts_.overlap) {
-      // Synchronous schedule: complete the swap before any force work.
-      // The kHaloSwap / kHaloWait trace split stays visible either way.
-      trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
-      halo_.finish_swap(blocks_, *comm_, counters_);
+    const bool overlap = opts_.overlap;
+    if (!overlap) finish_swap();
+    pe_.assign(2 * (opts_.fused ? 1 : blocks_.size()), 0.0);
+    force_pass(overlap ? ForceSection::kCore : ForceSection::kAll);
+    if (overlap) {
+      finish_swap();
+      force_pass(ForceSection::kHalo);
     }
-    // Halo copies are geometrically shifted, so displacement is plain
-    // xi - xj; PairDisp (not an opaque lambda) keeps the batched kernel's
-    // vector gather phase active.
-    const PairDisp<D> disp{};
-
+    // Summed in block order, core before halo, as every executor always
+    // summed them: the reported potential keeps its bits in both schedules.
     potential_ = 0.0;
+    for (const double pe : pe_) potential_ += pe;
     double max_v = 0.0;
-    if (team_ && opts_.fused) {
-      const bool colored = opts_.reduction == ReductionKind::kColored;
-      if (opts_.overlap) {
-        double pe_core = 0.0;
-        {
-          trace::Scope scope(trace::Phase::kForce, comm_->rank());
-          pe_core = colored ? fused_colored_force_pass(ForceSection::kCore)
-                            : fused_force_pass(ForceSection::kCore);
-        }
-        {
-          trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
-          halo_.finish_swap(blocks_, *comm_, counters_);
-        }
-        trace::Scope scope(trace::Phase::kForce, comm_->rank());
-        potential_ =
-            pe_core + (colored ? fused_colored_force_pass(ForceSection::kHalo)
-                               : fused_force_pass(ForceSection::kHalo));
-      } else {
-        trace::Scope scope(trace::Phase::kForce, comm_->rank());
-        potential_ = colored ? fused_colored_force_pass(ForceSection::kAll)
-                             : fused_force_pass(ForceSection::kAll);
-      }
-      // Links walked per step is the cost signal (ISSUE: links walked ×
-      // ns/link — the scale factor cancels out of LPT's relative weights).
-      // Unlike wall-clock timings it is identical on every run, rank and
-      // team size, so every schedule adopts the same tables at the same
-      // rebuilds and the bit-identity gate holds by construction.
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        block_cost_ns_[k] += blocks_[k].links.size();
-      }
-      {
-        trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        max_v = fused_update_positions();
-      }
-      trace::Scope scope(trace::Phase::kCollective, comm_->rank());
-      advance_drift(max_v);
-      ++counters_.iterations;
-      return;
+    double max_d = 0.0;
+    {
+      trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
+      update_positions(max_v, max_d);
     }
-    if (opts_.overlap) {
-      // Every block's core-link pass runs while halo messages are in
-      // flight; halo-link passes and updates follow the completed swap.
-      pe_scratch_.assign(blocks_.size() * 2, 0.0);
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        auto& b = blocks_[k];
-        trace::Scope scope(trace::Phase::kForce, comm_->rank());
-        if (team_) {
-          pe_scratch_[2 * k] = dispatch_force_pass<D>(
-              accs_[k], *team_, b.links, b.store, model_, disp, &counters_,
-              ForceSection::kCore);
-        } else {
-          zero_forces(b.store);
-          pe_scratch_[2 * k] = accumulate_forces<D>(
-              b.links.core(), b.store, model_, disp, /*update_both=*/true,
-              1.0, &counters_);
-        }
-        block_cost_ns_[k] += b.links.n_core;
-      }
-      {
-        trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
-        halo_.finish_swap(blocks_, *comm_, counters_);
-      }
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        auto& b = blocks_[k];
-        {
-          trace::Scope scope(trace::Phase::kForce, comm_->rank());
-          if (team_) {
-            pe_scratch_[2 * k + 1] = dispatch_force_pass<D>(
-                accs_[k], *team_, b.links, b.store, model_, disp, &counters_,
-                ForceSection::kHalo);
-          } else {
-            pe_scratch_[2 * k + 1] = accumulate_forces<D>(
-                b.links.halo(), b.store, model_, disp, /*update_both=*/false,
-                0.5, &counters_);
-          }
-          block_cost_ns_[k] += b.links.size() - b.links.n_core;
-        }
-        trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-        const double v =
-            team_ ? smp_update_positions(*team_, b.store, b.ncore, cfg_.dt,
-                                         cfg_.gravity, boundary_, &counters_)
-                  : kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity,
-                               boundary_, &counters_);
-        if (v > max_v) max_v = v;
-      }
-      // Sum per-block energies in the synchronous schedule's core-then-
-      // halo block order, so the reported potential is bit-identical too.
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        potential_ += pe_scratch_[2 * k];
-        potential_ += pe_scratch_[2 * k + 1];
-      }
-    } else {
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        auto& b = blocks_[k];
-        if (team_) {
-          {
-            trace::Scope scope(trace::Phase::kForce, comm_->rank());
-            potential_ += dispatch_force_pass<D>(accs_[k], *team_, b.links,
-                                                 b.store, model_, disp,
-                                                 &counters_);
-            block_cost_ns_[k] += b.links.size();
-          }
-          trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          const double v = smp_update_positions(*team_, b.store, b.ncore,
-                                                cfg_.dt, cfg_.gravity,
-                                                boundary_, &counters_);
-          if (v > max_v) max_v = v;
-        } else {
-          {
-            trace::Scope scope(trace::Phase::kForce, comm_->rank());
-            zero_forces(b.store);
-            potential_ += accumulate_forces<D>(b.links.core(), b.store, model_,
-                                               disp, /*update_both=*/true, 1.0,
-                                               &counters_);
-            potential_ += accumulate_forces<D>(b.links.halo(), b.store, model_,
-                                               disp, /*update_both=*/false, 0.5,
-                                               &counters_);
-            block_cost_ns_[k] += b.links.size();
-          }
-          trace::Scope scope(trace::Phase::kUpdate, comm_->rank());
-          const double v = kick_drift(b.store, b.ncore, cfg_.dt, cfg_.gravity,
-                                      boundary_, &counters_);
-          if (v > max_v) max_v = v;
-        }
-      }
-    }
-
     // The rebuild criterion must be a global decision: take the worldwide
     // maximum (also how the paper's global quantities are formed — reduced
     // per block, then across processes).
     trace::Scope collective_scope(trace::Phase::kCollective, comm_->rank());
-    advance_drift(max_v);
+    advance_drift(max_v, max_d);
     ++counters_.iterations;
   }
 
@@ -366,18 +253,14 @@ class MpSim {
     const Vec<D> margin_vec(cfg_.binning_radius());
     {
       // Core-only binning for the reorder permutation and halo templates.
-      // The hybrid scheme runs the whole pipeline on the team; the pure
-      // message-passing scheme keeps the serial counting sort per block.
+      // The whole pipeline runs on the team (serially on a one-member
+      // team).
       trace::Scope scope(trace::Phase::kBin, comm_->rank());
       Timer t;
       for (auto& b : blocks_) {
         b.grid.configure(b.lo - margin_vec, b.hi + margin_vec,
                          cfg_.binning_radius(), no_wrap());
-        if (team_) {
-          b.grid.bin_parallel(b.store.cpositions(), b.ncore, *team_);
-        } else {
-          b.grid.bin(b.store.positions(), b.ncore);
-        }
+        b.grid.bin_parallel(b.store.cpositions(), b.ncore, *team_);
       }
       counters_.rebuild_bin_ns += elapsed_ns(t);
     }
@@ -385,11 +268,7 @@ class MpSim {
       trace::Scope scope(trace::Phase::kReorder, comm_->rank());
       Timer t;
       for (auto& b : blocks_) {
-        if (team_) {
-          b.store.apply_permutation_parallel(b.grid.order(), b.ncore, *team_);
-        } else {
-          b.store.apply_permutation(b.grid.order(), b.ncore);
-        }
+        b.store.apply_permutation_parallel(b.grid.order(), b.ncore, *team_);
         b.grid.reset_order_to_identity();
         ++counters_.reorders;
       }
@@ -411,38 +290,26 @@ class MpSim {
         // Re-bin including the fresh halo copies.
         trace::Scope scope(trace::Phase::kBin, comm_->rank());
         Timer t;
-        if (team_) {
-          b.grid.bin_parallel(b.store.cpositions(), b.store.size(), *team_);
-        } else {
-          b.grid.bin(b.store.positions(), b.store.size());
-        }
+        b.grid.bin_parallel(b.store.cpositions(), b.store.size(), *team_);
         counters_.rebuild_bin_ns += elapsed_ns(t);
       }
       {
         // The one link build (list + color plan + stats, see
-        // link_list.hpp), on the team or on a one-member team.  Blocks see
-        // shifted halo copies, so the displacement is plain subtraction.
+        // link_list.hpp).  Blocks see shifted halo copies, so the
+        // displacement is plain subtraction.
         trace::Scope scope(trace::Phase::kLinkGen, comm_->rank());
         Timer t;
-        auto build = [&](auto& team) {
-          build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
-                            cfg_.list_radius(), PairDisp<D>{}, team,
-                            fused_link_scratch_, &counters_);
-        };
-        if (team_) {
-          build(*team_);
-        } else {
-          SoloTeam solo;
-          build(solo);
-        }
+        build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
+                          cfg_.list_radius(), PairDisp<D>{}, *team_,
+                          fused_link_scratch_, &counters_);
         counters_.rebuild_linkgen_ns += elapsed_ns(t);
       }
       counters_.halo_particles += b.halo_count();
       counters_.particles += b.ncore;
     }
-    if (team_) prepare_team_accumulators();
+    prepare_force_pass();
+    ref_pos_.resize(blocks_.size());
     if (cfg_.drift_measured) {
-      ref_pos_.resize(blocks_.size());
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
         const auto pos = blocks_[k].store.cpositions();
         ref_pos_[k].assign(pos.begin(),
@@ -488,7 +355,8 @@ class MpSim {
   }
 
   // This rank's counters including communication and (hybrid) team
-  // synchronisation tallies.
+  // synchronisation tallies.  A one-member team runs its regions inline,
+  // so its tallies are left out: pure message passing reports no fork/join.
   Counters counters() const {
     Counters c = counters_;
     const Counters& mc = comm_->counters();
@@ -500,7 +368,7 @@ class MpSim {
     c.bytes_overlapped = mc.bytes_overlapped;
     c.bytes_exposed = mc.bytes_exposed;
     c.exposed_wait_ns = mc.exposed_wait_ns;
-    if (team_) {
+    if (hybrid()) {
       c.parallel_regions = team_->regions();
       c.barriers = team_->barriers();
       c.critical_sections = team_->criticals();
@@ -555,7 +423,17 @@ class MpSim {
     counters_.blocks = blocks_.size();
   }
 
-  void prepare_team_accumulators() {
+  // The force kernel at T = 1 is the plain serial kernel, which needs no
+  // accumulators.  Routed through the one-member team's colored pass, the
+  // pure message-passing force phase on hot2d rose from about 400 to 463
+  // µs per step per rank (4-core x86 host).  Everything else runs on the
+  // team at every T.
+  bool plain_kernel() const { return team_->size() == 1; }
+
+  // Rebuild-time setup of the force executor: per-block accumulators and,
+  // for the fused passes, the global prefix offsets and color phases.
+  void prepare_force_pass() {
+    if (plain_kernel()) return;
     accs_.resize(blocks_.size());
     // Global prefix offsets of each block's links / core particles, used
     // by the fused scheme's single static partitions.  The overlapped
@@ -566,17 +444,15 @@ class MpSim {
     core_link_offset_.assign(blocks_.size() + 1, 0);
     halo_link_offset_.assign(blocks_.size() + 1, 0);
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      const LinkList& l = blocks_[k].links;
       link_offset_[k + 1] =
-          link_offset_[k] + static_cast<std::int64_t>(blocks_[k].links.size());
+          link_offset_[k] + section_size(l, ForceSection::kAll);
       core_offset_[k + 1] =
           core_offset_[k] + static_cast<std::int64_t>(blocks_[k].ncore);
       core_link_offset_[k + 1] =
-          core_link_offset_[k] +
-          static_cast<std::int64_t>(blocks_[k].links.n_core);
+          core_link_offset_[k] + section_size(l, ForceSection::kCore);
       halo_link_offset_[k + 1] =
-          halo_link_offset_[k] +
-          static_cast<std::int64_t>(blocks_[k].links.size() -
-                                    blocks_[k].links.n_core);
+          halo_link_offset_[k] + section_size(l, ForceSection::kHalo);
     }
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
       auto& b = blocks_[k];
@@ -619,6 +495,92 @@ class MpSim {
     }
     if (opts_.fused && opts_.reduction == ReductionKind::kColored) {
       build_fused_color_phases();
+    }
+  }
+
+  static std::int64_t section_size(const LinkList& l, ForceSection section) {
+    switch (section) {
+      case ForceSection::kCore: return static_cast<std::int64_t>(l.n_core);
+      case ForceSection::kHalo:
+        return static_cast<std::int64_t>(l.size() - l.n_core);
+      case ForceSection::kAll: break;
+    }
+    return static_cast<std::int64_t>(l.size());
+  }
+
+  void finish_swap() {
+    trace::Scope scope(trace::Phase::kHaloWait, comm_->rank());
+    halo_.finish_swap(blocks_, *comm_, counters_);
+  }
+
+  // The force executor: one pass over `section` of every block's links.
+  // Fused, that is one team pass over all blocks; otherwise it runs block
+  // by block.  The energy lands in pe_ as (core, halo) partials, one pair
+  // per block or one pair for the rank's fused pass.
+  void force_pass(ForceSection section) {
+    trace::Scope scope(trace::Phase::kForce, comm_->rank());
+    if (opts_.fused) {
+      pe_[section == ForceSection::kHalo ? 1 : 0] = fused_force_pass(section);
+    } else {
+      for (std::size_t k = 0; k < blocks_.size(); ++k) {
+        block_force_pass(k, section);
+      }
+    }
+    // Links walked per section is the cost signal (links walked ×
+    // ns/link — the scale factor cancels out of LPT's relative weights).
+    // Unlike wall-clock timings it is identical on every run, rank and team
+    // size, so every schedule adopts the same tables at the same rebuilds
+    // and the bit-identity gate holds by construction.
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      block_cost_ns_[k] +=
+          static_cast<std::uint64_t>(section_size(blocks_[k].links, section));
+    }
+  }
+
+  // One block's section: the team pass, or the plain kernel at T = 1.
+  void block_force_pass(std::size_t k, ForceSection section) {
+    auto& b = blocks_[k];
+    // Halo copies are geometrically shifted, so displacement is plain
+    // xi - xj; PairDisp (not an opaque lambda) keeps the batched kernel's
+    // vector gather phase active.
+    const PairDisp<D> disp{};
+    if (!plain_kernel()) {
+      pe_[2 * k + (section == ForceSection::kHalo ? 1 : 0)] =
+          dispatch_force_pass<D>(accs_[k], *team_, b.links, b.store, model_,
+                                 disp, &counters_, section);
+      return;
+    }
+    if (section != ForceSection::kHalo) {
+      zero_forces(b.store);
+      pe_[2 * k] = accumulate_forces<D>(b.links.core(), b.store, model_, disp,
+                                        /*update_both=*/true, 1.0, &counters_);
+    }
+    if (section != ForceSection::kCore) {
+      pe_[2 * k + 1] =
+          accumulate_forces<D>(b.links.halo(), b.store, model_, disp,
+                               /*update_both=*/false, 0.5, &counters_);
+    }
+  }
+
+  // The update pass: kick-drift every block's core particles on the team.
+  // Each thread also takes the maximum speed and, under the measured
+  // trigger, the maximum displacement since the last rebuild over its own
+  // particles; a maximum does not depend on order, so both are the bits a
+  // serial scan would give.
+  void update_positions(double& max_v, double& max_d) {
+    if (opts_.fused) {
+      fused_update_positions(max_v, max_d);
+      return;
+    }
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      auto& b = blocks_[k];
+      double d = 0.0;
+      const double v = smp_update_positions(
+          *team_, b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
+          &counters_, std::span<const Vec<D>>(ref_pos_[k]),
+          cfg_.drift_measured ? &d : nullptr);
+      max_v = std::max(max_v, v);
+      max_d = std::max(max_d, d);
     }
   }
 
@@ -697,21 +659,31 @@ class MpSim {
     fused_pe_.assign(slot, 0.0);
   }
 
-  double fused_colored_force_pass(ForceSection section) {
+  const std::vector<std::int64_t>& section_offsets(ForceSection section) const {
+    switch (section) {
+      case ForceSection::kCore: return core_link_offset_;
+      case ForceSection::kHalo: return halo_link_offset_;
+      case ForceSection::kAll: break;
+    }
+    return link_offset_;
+  }
+
+  // The fused executor (Section 11: "a single parallel loop over all links
+  // in all blocks rather than one loop per block"): one parallel region
+  // per section for the whole rank.  The prologue zeroes every block's
+  // forces and meets at a barrier (a kHalo pass joins the accumulation
+  // instead).  The links then run either as one static partition of the
+  // section's global link range (atomic family; each section partitioned
+  // by its own prefix offsets) or as the section's global color phases
+  // (colored).  The epilogue tallies contacts and evaluations and collects
+  // the accumulators.  Returns the section's potential energy.
+  double fused_force_pass(ForceSection section) {
     const int t_count = team_->size();
-    std::vector<std::uint64_t> contacts(static_cast<std::size_t>(t_count) * 8,
-                                        0);
-    std::vector<std::uint64_t> cost(static_cast<std::size_t>(t_count) * 8, 0);
-    std::array<std::atomic<std::size_t>, 4> cursors{};
+    const bool colored = opts_.reduction == ReductionKind::kColored;
     const int ph_lo = section == ForceSection::kHalo ? 2 : 0;
     const int ph_hi = section == ForceSection::kCore ? 2 : 4;
-    for (int ph = ph_lo; ph < ph_hi; ++ph) {
-      std::fill(fused_pe_.begin() + static_cast<std::int64_t>(fused_slot_[ph]),
-                fused_pe_.begin() + static_cast<std::int64_t>(
-                                        fused_slot_[ph] +
-                                        fused_items_[ph].size()),
-                0.0);
-    }
+    std::array<std::atomic<std::size_t>, 4> cursors{};
+    std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
     team_->parallel([&](int tid) {
       if (section != ForceSection::kHalo) {
         for (auto& b : blocks_) {
@@ -724,178 +696,143 @@ class MpSim {
         }
         team_->barrier();
       }
-      std::uint64_t my_contacts = 0;
-      std::uint64_t my_ns = 0;
-      const auto run_item = [&](int ph, std::size_t k) {
-        const FusedChunk it = fused_items_[ph][k];
-        auto& b = blocks_[static_cast<std::size_t>(it.block)];
-        auto& ca =
-            std::get<ColoredAccumulator<D>>(accs_[static_cast<std::size_t>(
-                it.block)]);
-        const bool halo = ph >= 2;
-        const auto [lo, hi] =
-            halo ? ca.halo_range(it.chunk) : ca.core_range(it.chunk);
-        const auto sink = [&](std::int32_t p, const Vec<D>& f) {
-          ca.add(tid, p, f, b.store);
-        };
-        const PairDisp<D> disp{};
-        const Timer rt;
-        const double v = batched_pair_links<D>(
-            std::span<const Link>(b.links.links.data() + lo, hi - lo),
-            b.store.positions(), b.store.velocities(), model_, disp, !halo,
-            halo ? 0.5 : 1.0, my_contacts, sink);
-        my_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
-        // Per-item energy slot in fixed (phase, item) order: the reported
-        // potential is identical whichever thread ran the item and at any
-        // team size (static or stealing).
-        fused_pe_[fused_slot_[ph] + k] = v;
-      };
-      bool first = true;
-      for (int ph = ph_lo; ph < ph_hi; ++ph) {
-        if (!first) team_->barrier();
-        first = false;
-        if (opts_.steal) {
-          auto& cursor = cursors[static_cast<std::size_t>(ph)];
-          for (;;) {
-            const std::size_t k =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (k >= fused_items_[ph].size()) break;
-            run_item(ph, k);
-          }
-        } else {
-          const auto& bound = fused_bounds_[ph];
-          const auto t = static_cast<std::size_t>(tid);
-          for (std::size_t k = bound[t]; k < bound[t + 1]; ++k) {
-            run_item(ph, k);
-          }
-        }
+      auto& slot = slots[static_cast<std::size_t>(tid)];
+      if (colored) {
+        fused_color_phases(tid, ph_lo, ph_hi, cursors, slot);
+      } else {
+        fused_link_range(tid, section, slot);
       }
-      contacts[static_cast<std::size_t>(tid) * 8] = my_contacts;
-      cost[static_cast<std::size_t>(tid) * 8] = my_ns;
     });
     double pe = 0.0;
-    for (int ph = ph_lo; ph < ph_hi; ++ph) {
-      for (std::size_t k = 0; k < fused_items_[ph].size(); ++k) {
-        pe += fused_pe_[fused_slot_[ph] + k];
+    if (colored) {
+      // Per-item energy slots in fixed (phase, item) order: the reported
+      // potential is identical whichever thread ran the item and at any
+      // team size (static or stealing).
+      for (int ph = ph_lo; ph < ph_hi; ++ph) {
+        for (std::size_t k = 0; k < fused_items_[ph].size(); ++k) {
+          pe += fused_pe_[fused_slot_[ph] + k];
+        }
       }
+      if (counters_.thread_cost_ns.size() < slots.size()) {
+        counters_.thread_cost_ns.resize(slots.size(), 0);
+      }
+      for (std::size_t t = 0; t < slots.size(); ++t) {
+        counters_.thread_cost_ns[t] += slots[t].cost_ns;
+      }
+      counters_.color_barriers +=
+          static_cast<std::uint64_t>(ph_hi - ph_lo - 1);
+    } else {
+      for (const auto& s : slots) pe += s.pe;
     }
-    if (counters_.thread_cost_ns.size() < static_cast<std::size_t>(t_count)) {
-      counters_.thread_cost_ns.resize(static_cast<std::size_t>(t_count), 0);
-    }
-    for (int t = 0; t < t_count; ++t) {
-      counters_.contacts += contacts[static_cast<std::size_t>(t) * 8];
-      counters_.thread_cost_ns[static_cast<std::size_t>(t)] +=
-          cost[static_cast<std::size_t>(t) * 8];
-    }
-    const std::vector<std::int64_t>& offs =
-        section == ForceSection::kAll
-            ? link_offset_
-            : (section == ForceSection::kCore ? core_link_offset_
-                                              : halo_link_offset_);
-    counters_.force_evals += static_cast<std::uint64_t>(offs.back());
-    counters_.color_barriers +=
-        static_cast<std::uint64_t>(ph_hi - ph_lo - 1);
+    for (const auto& s : slots) counters_.contacts += s.contacts;
+    counters_.force_evals +=
+        static_cast<std::uint64_t>(section_offsets(section).back());
     for (auto& acc : accs_) {
       std::visit([&](auto& a) { a.collect(counters_); }, acc);
     }
     return pe;
   }
 
-  // One parallel region for the whole rank: zero every block's forces,
-  // barrier, then each thread walks its share of the single global link
-  // range, dispatching into the owning blocks.  (Section 11: "a single
-  // parallel loop over all links in all blocks rather than one loop per
-  // block".)  Under the overlapped schedule the pass runs twice — once
-  // over the global core-link range while halos are in flight, once over
-  // the global halo-link range afterwards — with each section partitioned
-  // by its own prefix offsets; the kHalo pass joins the accumulation
-  // without re-zeroing.
-  double fused_force_pass(ForceSection section = ForceSection::kAll) {
-    const int t_count = team_->size();
-    std::vector<double> pe(static_cast<std::size_t>(t_count) * 8, 0.0);
-    std::vector<std::uint64_t> contacts(static_cast<std::size_t>(t_count) * 8,
-                                        0);
-    const std::vector<std::int64_t>& offs =
-        section == ForceSection::kAll
-            ? link_offset_
-            : (section == ForceSection::kCore ? core_link_offset_
-                                              : halo_link_offset_);
-    const std::int64_t total = offs.back();
-    team_->parallel([&](int tid) {
-      if (section != ForceSection::kHalo) {
-        for (auto& b : blocks_) {
-          const auto r = smp::static_block(
-              0, static_cast<std::int64_t>(b.store.size()), tid, t_count);
-          auto frc = b.store.forces();
-          for (std::int64_t i = r.lo; i < r.hi; ++i) {
-            frc[static_cast<std::size_t>(i)] = Vec<D>{};
-          }
+  // One thread's share of the fused colored pass: the global color phases
+  // [ph_lo, ph_hi), barrier-separated, each walked from the static
+  // per-phase bounds or claimed chunk by chunk when stealing.
+  void fused_color_phases(int tid, int ph_lo, int ph_hi,
+                          std::array<std::atomic<std::size_t>, 4>& cursors,
+                          detail::PadSlot& slot) {
+    const auto run_item = [&](int ph, std::size_t k) {
+      const FusedChunk it = fused_items_[ph][k];
+      auto& b = blocks_[static_cast<std::size_t>(it.block)];
+      auto& ca = std::get<ColoredAccumulator<D>>(
+          accs_[static_cast<std::size_t>(it.block)]);
+      const bool halo = ph >= 2;
+      const auto [lo, hi] =
+          halo ? ca.halo_range(it.chunk) : ca.core_range(it.chunk);
+      const auto sink = [&](std::int32_t p, const Vec<D>& f) {
+        ca.add(tid, p, f, b.store);
+      };
+      const Timer rt;
+      fused_pe_[fused_slot_[ph] + k] = batched_pair_links<D>(
+          std::span<const Link>(b.links.links.data() + lo, hi - lo),
+          b.store.positions(), b.store.velocities(), model_, PairDisp<D>{},
+          !halo, halo ? 0.5 : 1.0, slot.contacts, sink);
+      slot.cost_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
+    };
+    for (int ph = ph_lo; ph < ph_hi; ++ph) {
+      if (ph > ph_lo) team_->barrier();
+      if (opts_.steal) {
+        auto& cursor = cursors[static_cast<std::size_t>(ph)];
+        for (;;) {
+          const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
+          if (k >= fused_items_[ph].size()) break;
+          run_item(ph, k);
         }
-        team_->barrier();
+      } else {
+        const auto& bound = fused_bounds_[ph];
+        const auto t = static_cast<std::size_t>(tid);
+        for (std::size_t k = bound[t]; k < bound[t + 1]; ++k) run_item(ph, k);
       }
-      const auto g = smp::static_block(0, total, tid, t_count);
-      double my_pe = 0.0;
-      std::uint64_t my_contacts = 0;
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        const std::int64_t lo = std::max(g.lo, offs[k]);
-        const std::int64_t hi = std::min(g.hi, offs[k + 1]);
-        if (lo >= hi) continue;
-        auto& b = blocks_[k];
-        // Block-local link indices: a kHalo range starts at the block's
-        // halo section, the other sections start at zero.
-        const std::int64_t base =
-            section == ForceSection::kHalo
-                ? static_cast<std::int64_t>(b.links.n_core)
-                : 0;
-        std::visit(
-            [&](auto& a) {
-              my_pe += fused_force_range<D>(
-                  b.links, base + (lo - offs[k]), base + (hi - offs[k]),
-                  b.store, model_, a, tid, my_contacts);
-            },
-            accs_[k]);
-      }
-      pe[static_cast<std::size_t>(tid) * 8] = my_pe;
-      contacts[static_cast<std::size_t>(tid) * 8] = my_contacts;
-    });
-    double total_pe = 0.0;
-    for (int t = 0; t < t_count; ++t) {
-      total_pe += pe[static_cast<std::size_t>(t) * 8];
-      counters_.contacts += contacts[static_cast<std::size_t>(t) * 8];
     }
-    counters_.force_evals += static_cast<std::uint64_t>(total);
-    for (auto& acc : accs_) {
-      std::visit([&](auto& a) { a.collect(counters_); }, acc);
+  }
+
+  // One thread's share of the fused atomic-family pass: its static block
+  // of the section's global link range, dispatched into the owning blocks.
+  void fused_link_range(int tid, ForceSection section, detail::PadSlot& slot) {
+    const std::vector<std::int64_t>& offs = section_offsets(section);
+    const auto g = smp::static_block(0, offs.back(), tid, team_->size());
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+      const std::int64_t lo = std::max(g.lo, offs[k]);
+      const std::int64_t hi = std::min(g.hi, offs[k + 1]);
+      if (lo >= hi) continue;
+      auto& b = blocks_[k];
+      // Block-local link indices: a kHalo range starts at the block's halo
+      // section, the other sections start at zero.
+      const std::int64_t base =
+          section == ForceSection::kHalo
+              ? static_cast<std::int64_t>(b.links.n_core)
+              : 0;
+      std::visit(
+          [&](auto& a) {
+            slot.pe += fused_force_range<D>(
+                b.links, base + (lo - offs[k]), base + (hi - offs[k]),
+                b.store, model_, a, tid, slot.contacts);
+          },
+          accs_[k]);
     }
-    return total_pe;
   }
 
   // One parallel region over the global core-particle range.
-  double fused_update_positions() {
-    const int t_count = team_->size();
-    std::vector<double> max_v(static_cast<std::size_t>(t_count) * 8, 0.0);
+  void fused_update_positions(double& max_v, double& max_d) {
+    std::vector<detail::PadSlot> slots(
+        static_cast<std::size_t>(team_->size()));
     const std::int64_t total = core_offset_.back();
     team_->parallel([&](int tid) {
-      const auto g = smp::static_block(0, total, tid, t_count);
-      double my_max = 0.0;
+      const auto g = smp::static_block(0, total, tid, team_->size());
+      auto& slot = slots[static_cast<std::size_t>(tid)];
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
         const std::int64_t lo = std::max(g.lo, core_offset_[k]);
         const std::int64_t hi = std::min(g.hi, core_offset_[k + 1]);
         if (lo >= hi) continue;
-        const double v = kick_drift_range(
-            blocks_[k].store, static_cast<std::size_t>(lo - core_offset_[k]),
-            static_cast<std::size_t>(hi - core_offset_[k]), cfg_.dt,
-            cfg_.gravity, boundary_, nullptr);
-        if (v > my_max) my_max = v;
+        const auto first = static_cast<std::size_t>(lo - core_offset_[k]);
+        const auto count = static_cast<std::size_t>(hi - lo);
+        auto& store = blocks_[k].store;
+        slot.max_v = std::max(
+            slot.max_v, kick_drift_range(store, first, first + count, cfg_.dt,
+                                         cfg_.gravity, boundary_, nullptr));
+        if (cfg_.drift_measured) {
+          slot.max_d = std::max(
+              slot.max_d,
+              max_displacement<D>(
+                  store.cpositions().subspan(first, count),
+                  std::span<const Vec<D>>(ref_pos_[k]).subspan(first, count),
+                  count));
+        }
       }
-      max_v[static_cast<std::size_t>(tid) * 8] = my_max;
     });
-    double out = 0.0;
-    for (int t = 0; t < t_count; ++t) {
-      out = std::max(out, max_v[static_cast<std::size_t>(t) * 8]);
+    for (const auto& s : slots) {
+      max_v = std::max(max_v, s.max_v);
+      max_d = std::max(max_d, s.max_d);
     }
     counters_.position_updates += static_cast<std::uint64_t>(total);
-    return out;
   }
 
   static std::array<bool, D> no_wrap() {
@@ -913,22 +850,14 @@ class MpSim {
   }
 
   // Advance the rebuild criterion — one kMax allreduce per step either
-  // way.  The measured trigger reduces the true per-rank maximum core
-  // displacement since the last rebuild instead of accumulating the
-  // worldwide maximum speed times dt (its upper bound), so rebuilds can
-  // only become rarer.
-  void advance_drift(double max_v) {
+  // way.  The measured trigger reduces the true maximum core displacement
+  // since the last rebuild (taken per thread inside the update pass)
+  // instead of accumulating the worldwide maximum speed times dt (its
+  // upper bound), so rebuilds can only become rarer.
+  void advance_drift(double max_v, double max_d) {
     if (!cfg_.drift_measured) max_v = comm_->allreduce(max_v, mp::Op::kMax);
-    drift_.advance(max_v, [&] {
-      double local = 0.0;
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        const double d = max_displacement<D>(
-            blocks_[k].store.cpositions(),
-            std::span<const Vec<D>>(ref_pos_[k]), blocks_[k].ncore);
-        if (d > local) local = d;
-      }
-      return comm_->allreduce(local, mp::Op::kMax);
-    });
+    drift_.advance(max_v,
+                   [&] { return comm_->allreduce(max_d, mp::Op::kMax); });
   }
 
   SimConfig<D> cfg_;
@@ -948,9 +877,9 @@ class MpSim {
   std::vector<std::int64_t> core_offset_;
   std::vector<std::int64_t> core_link_offset_;
   std::vector<std::int64_t> halo_link_offset_;
-  // Per-block (core, halo) potential-energy partials for the overlapped
-  // schedule, reused across steps.
-  std::vector<double> pe_scratch_;
+  // Per-step (core, halo) potential-energy partials, one pair per block
+  // (one pair for a fused pass), summed in order by step().
+  std::vector<double> pe_;
   // Fused colored schedule: per-global-phase item lists (phase = 2*is_halo
   // + color), prefix link weights, static thread bounds, and the per-item
   // potential-energy slots with their per-phase base offsets.
@@ -966,7 +895,7 @@ class MpSim {
   // at every rebuild.
   std::vector<std::uint64_t> block_cost_ns_;
   // Per-block rebuild-time core-position snapshots for the measured-drift
-  // trigger.
+  // trigger (empty when it is off).
   std::vector<std::vector<Vec<D>>> ref_pos_;
   double potential_ = 0.0;
   DriftTracker drift_{cfg_.drift_measured, cfg_.dt};

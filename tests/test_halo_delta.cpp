@@ -1,6 +1,6 @@
 // Delta-compressed, coalesced halo frames (DESIGN §3.8): frame format
 // round-trips and bounds checks, exchanger-level bit identity against the
-// unframed path (wire, same-rank local, corner forwarding, coalesced
+// eager-frame path (wire, same-rank local, corner forwarding, coalesced
 // streams at bpp 1 and 4, shared windows with masked copies), the
 // byte-conservation invariant eager = delta + saved on merged counters,
 // driver-level trajectory bit identity delta on/off across serial/smp/mp
@@ -277,7 +277,8 @@ void expect_conservation(const Counters& c) {
 
 // Multi-block multi-rank wire exchange with corner forwarding (bpp 4 gives
 // interior blocks with all four neighbours): every frame mode combination
-// must reproduce the unframed swap bit for bit.
+// must reproduce the eager per-side swap (delta and coalescing off) bit
+// for bit.
 TEST(HaloDelta, WireSwapsBitIdenticalAcrossModes) {
   const auto base = run_swaps({false, false, false}, 4, 4, 6, 600, 21);
   for (const bool coalesce : {false, true}) {
@@ -286,10 +287,10 @@ TEST(HaloDelta, WireSwapsBitIdenticalAcrossModes) {
     expect_conservation(d.merged);
     // The partial movement pattern must actually compress...
     EXPECT_GT(d.merged.bytes_delta_saved, 0u);
-    // ...and cut wire bytes against the unframed path.
+    // ...and cut wire bytes against the eager per-side path.
     EXPECT_LT(d.merged.halo_bytes_wire, base.merged.halo_bytes_wire);
   }
-  // Coalesce-only framing (eager payloads in framed streams).
+  // Coalescing alone (eager frames merged into shared streams).
   const auto c = run_swaps({false, true, false}, 4, 4, 6, 600, 21);
   expect_identical(base, c);
   EXPECT_GT(c.merged.msgs_coalesced, 0u);

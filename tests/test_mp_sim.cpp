@@ -226,6 +226,17 @@ TEST(MpOverlap, BitIdenticalColoredThreads) {
   expect_overlap_bit_identical<2>(500, 60, 11, 2, 2, true, opts);
 }
 
+TEST(MpOverlap, BitIdenticalFusedColored) {
+  // The fused colored pass splits into the core color phases and then the
+  // halo color phases, so each particle sees the same phase order under
+  // either schedule (the wall-clock benchmark's fused2x2 configuration).
+  typename MpSim<2>::Options opts;
+  opts.nthreads = 2;
+  opts.reduction = ReductionKind::kColored;
+  opts.fused = true;
+  expect_overlap_bit_identical<2>(500, 60, 11, 2, 2, true, opts);
+}
+
 TEST(MpOverlap, MatchesSerialTrajectory2D) {
   typename MpSim<2>::Options opts;
   opts.overlap = true;
