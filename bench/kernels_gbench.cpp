@@ -44,9 +44,9 @@ struct System {
   }
 
   void rebuild_links() {
-    SoloTeam solo;
+    smp::ThreadTeam team(1);
     build_links_fused(list, grid, store.cpositions(), store.size(),
-                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
+                      cfg.cutoff(), bc.pair_disp(), team, scratch);
   }
 };
 
@@ -73,10 +73,10 @@ struct SystemD {
     grid.bin(store.positions(), store.size());
     store.apply_permutation(grid.order(), store.size());
     grid.reset_order_to_identity();
-    SoloTeam solo;
+    smp::ThreadTeam team(1);
     FusedBuildScratch scratch;
     build_links_fused(list, grid, store.cpositions(), store.size(),
-                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
+                      cfg.cutoff(), bc.pair_disp(), team, scratch);
   }
 };
 

@@ -44,10 +44,10 @@ struct ForceSystem {
     grid.bin(store.positions(), store.size());
     store.apply_permutation(grid.order(), store.size());
     grid.reset_order_to_identity();
-    SoloTeam solo;
+    smp::ThreadTeam team(1);
     FusedBuildScratch scratch;
     build_links_fused(list, grid, store.cpositions(), store.size(),
-                      cfg.cutoff(), bc.pair_disp(), solo, scratch);
+                      cfg.cutoff(), bc.pair_disp(), team, scratch);
   }
 };
 

@@ -36,9 +36,9 @@ double accumulate_forces(std::span<const Link> links, ParticleStore<D>& store,
                          double pe_weight, Counters* counters = nullptr) {
   std::uint64_t contacts = 0;
   auto frc = store.forces();
-  // The serial driver shares the batched gather/compute/scatter kernel
-  // with the threaded force passes (bit-identical arithmetic and per-link
-  // order to the classic scalar loop).
+  // The drivers' T = 1 kernel shares the batched gather/compute/scatter
+  // kernel with the threaded force passes (bit-identical arithmetic and
+  // per-link order to the classic scalar loop).
   const double pe = batched_pair_links<D>(
       links, store.positions(), store.velocities(), model, disp, update_both,
       pe_weight, contacts, [&](std::int32_t p, const Vec<D>& f) {

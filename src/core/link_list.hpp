@@ -287,18 +287,6 @@ void build_links(LinkList& out, const CellGrid<D>& grid,
   if (counters != nullptr) record_link_stats(out, *counters);
 }
 
-// The one-member team: runs a Team-templated pass such as
-// build_links_fused inline on the calling thread, so the single-threaded
-// drivers share the threaded drivers' link build.
-struct SoloTeam {
-  int size() const { return 1; }
-  template <class Fn>
-  void parallel(Fn&& fn) {
-    fn(0);
-  }
-  void barrier() {}
-};
-
 // One team member's staging area for build_links_fused.  Each stage starts
 // on a cache line of its own, so one thread's appends (vector headers,
 // counts, tallies) never invalidate a line another thread writes.

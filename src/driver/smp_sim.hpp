@@ -1,4 +1,5 @@
-// Shared-memory driver: the paper's pure OpenMP implementation.
+// Shared-memory driver: the paper's pure OpenMP implementation, and on a
+// one-member team its serial code.
 //
 // One undecomposed domain; the force loop is parallelised over *links*
 // with a static block schedule (automatically load-balanced "since the
@@ -6,10 +7,19 @@
 // position update over particles, and link generation over cells.  The
 // force-array update conflict is resolved by a selectable strategy
 // (src/reduction).
+//
+// The serial reference driver is this class on a one-member team with the
+// colored reduction (the defaults; core/serial_sim.hpp names it
+// SerialSim), as in the paper, where the OpenMP code at T = 1 is measured
+// against the serial one.  Every stage of the step and of the rebuild runs
+// on the team at every T; the one T = 1 special case is the force kernel
+// (plain_kernel()).  Optional permanent bonds (the grain examples) run on
+// the master after the team's force pass.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -39,13 +49,15 @@ class SmpSim {
   // reduction only; trajectories stay bit-identical to the static
   // schedule at any team size).
   SmpSim(const SimConfig<D>& cfg, const Model& model,
-         std::span<const ParticleInit<D>> particles, int nthreads,
-         ReductionKind reduction, bool steal = false)
+         std::span<const ParticleInit<D>> particles, int nthreads = 1,
+         ReductionKind reduction = ReductionKind::kColored,
+         bool steal = false)
       : cfg_(cfg),
         model_(model),
         boundary_(cfg.bc, cfg.box),
-        team_(nthreads),
+        team_(std::make_unique<smp::ThreadTeam>(nthreads)),
         reduction_kind_(reduction),
+        steal_(steal),
         acc_(make_accumulator<D>(reduction)) {
     cfg_.validate();
     if (steal) {
@@ -65,26 +77,70 @@ class SmpSim {
     rebuild();
   }
 
+  // Convenience: the paper's uniform random benchmark system.
   static SmpSim make_random(const SimConfig<D>& cfg, const Model& model,
-                            std::uint64_t n, int nthreads,
-                            ReductionKind reduction) {
+                            std::uint64_t n, int nthreads = 1,
+                            ReductionKind reduction = ReductionKind::kColored) {
     const auto init = uniform_random_particles(cfg, n);
     return SmpSim(cfg, model, init, nthreads, reduction);
   }
 
+  // Permanent bond between the particles with ids ida and idb (grain
+  // construction).  Ids are stable across the cell-order reordering that
+  // happens at every rebuild (including the one in the constructor), so
+  // this is the only safe way to address a particle from outside.
+  void add_bond(std::int32_t ida, std::int32_t idb,
+                const BondedSpring& spring) {
+    if (ida == idb || ida < 0 || idb < 0 ||
+        static_cast<std::size_t>(ida) >= store_.size() ||
+        static_cast<std::size_t>(idb) >= store_.size()) {
+      throw std::invalid_argument("add_bond: bad particle ids");
+    }
+    bonds_.push_back({index_of_id(ida), index_of_id(idb)});
+    bond_springs_.push_back(spring);
+  }
+
+  // Current storage index of the particle with the given id.  The map is
+  // rebuilt on the first query after a reorder, so a run that never asks
+  // pays no per-rebuild pass for it.
+  std::int32_t index_of_id(std::int32_t id) const {
+    if (index_of_id_stale_) {
+      index_of_id_.resize(store_.size());
+      for (std::size_t i = 0; i < store_.size(); ++i) {
+        index_of_id_[static_cast<std::size_t>(store_.id(i))] =
+            static_cast<std::int32_t>(i);
+      }
+      index_of_id_stale_ = false;
+    }
+    return index_of_id_[static_cast<std::size_t>(id)];
+  }
+
+  // One force + position-update step, rebuilding the link list first if it
+  // is no longer valid.
   void step() {
     if (!list_valid()) {
       rebuild();
     } else if (counters_.iterations > 0) {
       ++counters_.rebuilds_skipped;
     }
+    trace::Scope iteration(trace::Phase::kIteration);
     // PairDisp (not an opaque lambda) lets the batched kernel run its
     // vector gather phase.
     const PairDisp<D> disp = boundary_.pair_disp();
     {
       trace::Scope scope(trace::Phase::kForce);
-      potential_ = dispatch_force_pass<D>(acc_, team_, links_, store_,
-                                          model_, disp, &counters_);
+      if (plain_kernel()) {
+        zero_forces(store_);
+        potential_ = accumulate_forces<D>(links_.core(), store_, model_, disp,
+                                          /*update_both=*/true, 1.0,
+                                          &counters_);
+      } else {
+        potential_ = dispatch_force_pass<D>(acc_, *team_, links_, store_,
+                                            model_, disp, &counters_);
+      }
+      // After the join every particle has all of its link forces, so the
+      // bond forces land last at any team size.
+      potential_ += bond_forces(disp);
     }
     // The measured drift is taken per thread inside the update pass.
     double max_v = 0.0;
@@ -92,7 +148,7 @@ class SmpSim {
     {
       trace::Scope scope(trace::Phase::kUpdate);
       max_v = smp_update_positions(
-          team_, store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
+          *team_, store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
           &counters_, std::span<const Vec<D>>(ref_pos_),
           cfg_.drift_measured ? &max_d : nullptr);
     }
@@ -118,22 +174,26 @@ class SmpSim {
       trace::Scope scope(trace::Phase::kBin);
       Timer t;
       // Wrap positions (parallel over particles).
-      team_.parallel_for(0, static_cast<std::int64_t>(store_.size()),
-                         [&](int, std::int64_t lo, std::int64_t hi) {
-                           auto pos = store_.positions();
-                           for (std::int64_t i = lo; i < hi; ++i) {
-                             boundary_.wrap(pos[static_cast<std::size_t>(i)]);
-                           }
-                         });
+      team_->parallel_for(0, static_cast<std::int64_t>(store_.size()),
+                          [&](int, std::int64_t lo, std::int64_t hi) {
+                            auto pos = store_.positions();
+                            for (std::int64_t i = lo; i < hi; ++i) {
+                              boundary_.wrap(pos[static_cast<std::size_t>(i)]);
+                            }
+                          });
+      // Cells are sized for binning_radius() >= list_radius() so the
+      // one-cell stencil still covers rc + skin.
       grid_.configure(Vec<D>{}, cfg_.box, cfg_.binning_radius(), wrap_flags());
-      grid_.bin_parallel(store_.cpositions(), store_.size(), team_);
+      grid_.bin_parallel(store_.cpositions(), store_.size(), *team_);
       counters_.rebuild_bin_ns += elapsed_ns(t);
     }
     if (cfg_.reorder) {
       trace::Scope scope(trace::Phase::kReorder);
       Timer t;
-      store_.apply_permutation_parallel(grid_.order(), store_.size(), team_);
+      remap_bonds(grid_.order());
+      store_.apply_permutation_parallel(grid_.order(), store_.size(), *team_);
       grid_.reset_order_to_identity();
+      index_of_id_stale_ = true;
       ++counters_.reorders;
       counters_.rebuild_reorder_ns += elapsed_ns(t);
     }
@@ -143,11 +203,13 @@ class SmpSim {
       counters_.links_core = 0;
       counters_.links_halo = 0;
       build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
-                        cfg_.list_radius(), boundary_.pair_disp(), team_,
+                        cfg_.list_radius(), boundary_.pair_disp(), *team_,
                         fused_scratch_, &counters_);
       counters_.rebuild_linkgen_ns += elapsed_ns(t);
     }
-    prepare_accumulator<D>(acc_, team_.size(), links_, store_.size());
+    if (!plain_kernel()) {
+      prepare_accumulator<D>(acc_, team_->size(), links_, store_.size());
+    }
     if (cfg_.drift_measured) {
       const auto pos = store_.cpositions();
       ref_pos_.assign(pos.begin(), pos.begin() + store_.size());
@@ -161,22 +223,38 @@ class SmpSim {
   double total_energy() const { return potential_ + kinetic(); }
 
   const SimConfig<D>& config() const { return cfg_; }
+  const Boundary<D>& boundary() const { return boundary_; }
   ParticleStore<D>& store() { return store_; }
   const ParticleStore<D>& store() const { return store_; }
   const LinkList& links() const { return links_; }
-  smp::ThreadTeam& team() { return team_; }
+  smp::ThreadTeam& team() { return *team_; }
   ReductionKind reduction_kind() const { return reduction_kind_; }
 
-  // Counters including the team's synchronisation tallies.
+  // Counters including the team's synchronisation tallies.  A one-member
+  // team runs its regions inline, so its tallies are left out: the serial
+  // driver reports no fork/join.
   Counters counters() const {
     Counters c = counters_;
-    c.parallel_regions = team_.regions();
-    c.barriers = team_.barriers();
-    c.critical_sections = team_.criticals();
+    if (team_->size() > 1) {
+      c.parallel_regions = team_->regions();
+      c.barriers = team_->barriers();
+      c.critical_sections = team_->criticals();
+    }
     return c;
   }
 
  private:
+  // At T = 1 the colored pass is the plain kernel over the list in storage
+  // order: the color plan's pair-swapped chunk order already gives every
+  // particle the phases' accumulation order, so the bits are the same and
+  // the one-member phase walk's overhead is saved.  The other strategies
+  // keep their team pass at T = 1, whose overhead the paper measures, and
+  // so does stealing, whose energy is summed per chunk at every T.
+  bool plain_kernel() const {
+    return team_->size() == 1 &&
+           reduction_kind_ == ReductionKind::kColored && !steal_;
+  }
+
   std::array<bool, D> wrap_flags() const {
     std::array<bool, D> w{};
     w.fill(boundary_.periodic());
@@ -187,16 +265,59 @@ class SmpSim {
     return static_cast<std::uint64_t>(t.seconds() * 1e9);
   }
 
+  double bond_forces(const PairDisp<D>& disp) {
+    double pe = 0.0;
+    auto pos = store_.positions();
+    auto vel = store_.velocities();
+    auto frc = store_.forces();
+    for (std::size_t b = 0; b < bonds_.size(); ++b) {
+      const auto i = static_cast<std::size_t>(bonds_[b].i);
+      const auto j = static_cast<std::size_t>(bonds_[b].j);
+      const Vec<D> d = disp(pos[i], pos[j]);
+      const double rv = dot(vel[i] - vel[j], d);
+      double s, e;
+      if (!bond_springs_[b].pair(norm2(d), rv, s, e)) continue;
+      pe += e;
+      const Vec<D> f = s * d;
+      frc[i] += f;
+      frc[j] -= f;
+    }
+    return pe;
+  }
+
+  // Bond endpoints are particle indices, so the cell-order permutation
+  // (new index k holds old particle perm[k]) must be inverted and applied.
+  void remap_bonds(const std::vector<std::int32_t>& perm) {
+    if (bonds_.empty()) return;
+    inverse_perm_.resize(perm.size());
+    for (std::size_t k = 0; k < perm.size(); ++k) {
+      inverse_perm_[static_cast<std::size_t>(perm[k])] =
+          static_cast<std::int32_t>(k);
+    }
+    for (auto& b : bonds_) {
+      b.i = inverse_perm_[static_cast<std::size_t>(b.i)];
+      b.j = inverse_perm_[static_cast<std::size_t>(b.j)];
+    }
+  }
+
   SimConfig<D> cfg_;
   Model model_;
   Boundary<D> boundary_;
-  smp::ThreadTeam team_;
+  // Behind a pointer so the driver stays movable.
+  std::unique_ptr<smp::ThreadTeam> team_;
   ReductionKind reduction_kind_;
+  bool steal_;
   AnyAccumulator<D> acc_;
   ParticleStore<D> store_;
   CellGrid<D> grid_;
   LinkList links_;
   FusedBuildScratch fused_scratch_;
+  std::vector<Link> bonds_;
+  std::vector<BondedSpring> bond_springs_;
+  std::vector<std::int32_t> inverse_perm_;
+  // id -> storage index, rebuilt lazily by index_of_id().
+  mutable std::vector<std::int32_t> index_of_id_;
+  mutable bool index_of_id_stale_ = true;
   double potential_ = 0.0;
   DriftTracker drift_{cfg_.drift_measured, cfg_.dt};
   // Rebuild-time position snapshot for the measured-drift trigger.

@@ -30,7 +30,7 @@
 
 #include "core/config.hpp"
 #include "core/init.hpp"
-#include "core/serial_sim.hpp"
+#include "core/particle_store.hpp"
 
 namespace hdem::io {
 
@@ -145,10 +145,10 @@ std::vector<StateRecord<D>> snapshot_store(const ParticleStore<D>& store) {
   return out;
 }
 
-// Snapshot a serial simulation (records sorted by id).
-template <int D, class Model>
-std::vector<StateRecord<D>> snapshot(const SerialSim<D, Model>& sim) {
-  return snapshot_store<D>(sim.store());
+// Snapshot any undecomposed driver (records sorted by id).
+template <class Sim>
+auto snapshot(const Sim& sim) {
+  return snapshot_store(sim.store());
 }
 
 }  // namespace hdem::io

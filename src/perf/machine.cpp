@@ -1,11 +1,8 @@
 #include "perf/machine.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
-#include "core/config.hpp"
 #include "util/simd.hpp"
-#include "util/skin_cli.hpp"
 
 namespace hdem::perf {
 
@@ -133,24 +130,13 @@ MachineSpec generic_host() {
 }
 
 std::string machine_report(const MachineSpec& m) {
-  const char* shared = std::getenv("HDEM_SHARED_HALO");
-  const char* rpn = std::getenv("HDEM_RANKS_PER_NODE");
   std::ostringstream os;
   os << m.name << ": " << m.nodes << " node(s) x " << m.cpus_per_node
      << " cpu(s), t_pair=" << m.t_pair * 1e9 << "ns"
      << ", simd_isa=" << m.simd_isa << ", simd_gain=" << m.simd_gain
      << " | host kernels: compiled=" << simd::isa_name(simd::kCompiledIsa)
      << ", active=" << simd::isa_name(simd::active_isa())
-     << ", width=" << simd::dispatch_width()
-     // The active environment-default knob set: without it a saved
-     // measurement row can't be reproduced from its own header (a
-     // HDEM_SKIN or HDEM_HALO_DELTA leg is otherwise indistinguishable
-     // from the default run).
-     << " | knobs: skin=" << skin_env_default()
-     << " halo_delta=" << (halo_delta_env_default() ? 1 : 0)
-     << " halo_coalesce=" << (halo_coalesce_env_default() ? 1 : 0)
-     << " shared_halo=" << (shared != nullptr ? shared : "0")
-     << " ranks_per_node=" << (rpn != nullptr ? rpn : "0");
+     << ", width=" << simd::dispatch_width();
   return os.str();
 }
 

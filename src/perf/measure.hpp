@@ -16,7 +16,6 @@
 
 #include "core/config.hpp"
 #include "core/init.hpp"
-#include "core/serial_sim.hpp"
 #include "decomp/layout.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
@@ -29,6 +28,8 @@
 namespace hdem::perf {
 
 struct MeasureSpec {
+  // kSerial is the serial driver: kSmp on a one-member team with the
+  // colored reduction, whatever nthreads, reduction and steal say.
   enum class Mode { kSerial, kSmp, kMp, kHybrid };
 
   int D = 3;  // 2 or 3
@@ -148,26 +149,16 @@ MeasuredRun measure_impl(const MeasureSpec& spec) {
   out.run.iterations = spec.iterations;
 
   switch (spec.mode) {
-    case MeasureSpec::Mode::kSerial: {
-      out.run.nprocs = 1;
-      out.run.nthreads = 1;
-      out.run.nblocks = 1;
-      SerialSim<D> sim(cfg, model, init);
-      // Settle into the steady state.
-      for (std::uint64_t w = 0; w < spec.warmup; ++w) sim.step();
-      if (spec.trace) trace::Tracer::global().clear();
-      const Counters before = sim.counters();
-      Timer timer;
-      sim.run(spec.iterations);
-      out.host_seconds = timer.seconds();
-      out.run.agg = counters_delta(sim.counters(), before);
-      break;
-    }
+    case MeasureSpec::Mode::kSerial:
     case MeasureSpec::Mode::kSmp: {
+      const bool serial = spec.mode == MeasureSpec::Mode::kSerial;
+      if (serial) out.run.nthreads = 1;
       out.run.nprocs = 1;
       out.run.nblocks = 1;
-      SmpSim<D> sim(cfg, model, init, spec.nthreads, spec.reduction,
-                    spec.steal);
+      SmpSim<D> sim(cfg, model, init, serial ? 1 : spec.nthreads,
+                    serial ? ReductionKind::kColored : spec.reduction,
+                    !serial && spec.steal);
+      // Settle into the steady state.
       for (std::uint64_t w = 0; w < spec.warmup; ++w) sim.step();
       if (spec.trace) trace::Tracer::global().clear();
       const Counters before = sim.counters();

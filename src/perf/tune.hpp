@@ -21,9 +21,13 @@
 // Tune file format (plain text, '#' comments):
 //
 //     # hdem-tune v1
-//     # <machine_report of the measuring host, incl. active knob set>
+//     # <machine_report of the measuring host>
 //     # columns: <space-separated column names>
 //     <one row per line, tokens in column order>
+//
+// Every row carries its own effective knobs (skin, halo delta/coalesce,
+// overlap, steal, rebalance, reorder, ...), so the header records only
+// the host.
 //
 // The "# columns:" header is authoritative: rows are parsed by column
 // name, so readers tolerate reordered or additional columns, and a file

@@ -21,7 +21,6 @@
 #include "core/config.hpp"
 #include "core/counters.hpp"
 #include "core/init.hpp"
-#include "core/serial_sim.hpp"
 #include "core/step_loop.hpp"
 #include "driver/smp_sim.hpp"
 #include "io/checkpoint.hpp"
@@ -93,9 +92,9 @@ struct JobSpec {
   // stream the server's clients can poll).
   std::string checkpoint_path;
   std::uint64_t checkpoint_every = 0;
-  // > 1 backs the job with SmpSim over its own inner team (used by the
-  // one-team-per-job baseline); the default serves jobs on the serial
-  // engine and takes all parallelism from job-level multiplexing.
+  // Size of the job's own SmpSim team; > 1 is the one-team-per-job
+  // baseline.  The default serves jobs on the serial driver (a one-member
+  // team) and takes all parallelism from job-level multiplexing.
   int inner_threads = 1;
 };
 
@@ -172,12 +171,14 @@ class SimJob {
 
 namespace detail {
 
-// Shared implementation over any driver exposing step()/store()/counters().
-template <int D, class Driver>
+// A job over the undecomposed driver: SmpSim on a team of
+// spec.inner_threads with the colored reduction (a one-member team is the
+// serial driver).
+template <int D>
 class DriverJob : public SimJob {
  public:
   DriverJob(const JobSpec& spec, SimConfig<D> cfg,
-            std::unique_ptr<Driver> sim)
+            std::unique_ptr<SmpSim<D>> sim)
       : SimJob(spec),
         cfg_(std::move(cfg)),
         sim_(std::move(sim)),
@@ -215,8 +216,8 @@ class DriverJob : public SimJob {
 
  private:
   SimConfig<D> cfg_;
-  std::unique_ptr<Driver> sim_;
-  StepLoop<Driver> loop_;
+  std::unique_ptr<SmpSim<D>> sim_;
+  StepLoop<SmpSim<D>> loop_;
   std::uint64_t last_written_ = 0;
 };
 
@@ -225,16 +226,9 @@ std::unique_ptr<SimJob> make_job_d(const JobSpec& spec) {
   const SimConfig<D> cfg = job_config<D>(spec);
   const auto init = job_particles<D>(cfg, spec);
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
-  if (spec.inner_threads > 1) {
-    auto sim = std::make_unique<SmpSim<D>>(cfg, model, init,
-                                           spec.inner_threads,
-                                           ReductionKind::kColored);
-    return std::make_unique<DriverJob<D, SmpSim<D>>>(spec, cfg,
-                                                     std::move(sim));
-  }
-  auto sim = std::make_unique<SerialSim<D>>(cfg, model, init);
-  return std::make_unique<DriverJob<D, SerialSim<D>>>(spec, cfg,
-                                                      std::move(sim));
+  auto sim = std::make_unique<SmpSim<D>>(cfg, model, init, spec.inner_threads,
+                                         ReductionKind::kColored);
+  return std::make_unique<DriverJob<D>>(spec, cfg, std::move(sim));
 }
 
 }  // namespace detail

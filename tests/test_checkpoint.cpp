@@ -6,6 +6,7 @@
 #include <fstream>
 #include <map>
 
+#include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 
 namespace hdem {

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "perf/machine.hpp"
+#include "perf/measure.hpp"
 #include "perf/tune.hpp"
 
 namespace hdem::perf {
@@ -272,8 +275,6 @@ TEST(TuneFile, RoundTrip) {
   const std::string text = format_tune_rows(rows);
   EXPECT_NE(text.find("# hdem-tune v1"), std::string::npos);
   EXPECT_NE(text.find("# columns:"), std::string::npos);
-  // The header must carry the measuring host's knob set (reproducibility).
-  EXPECT_NE(text.find("knobs:"), std::string::npos);
 
   const auto back = parse_tune_rows(text);
   ASSERT_EQ(back.size(), 1u);
@@ -366,14 +367,76 @@ TEST(ChooseServing, QuantumTargetsFixedWorkAndClamps) {
   EXPECT_EQ(choose_serving(model, w, 0.0, false, 1).quantum_steps, 8u);
 }
 
-// Satellite: the machine report must record the active knob set so a
-// saved tune row is reproducible from its own header.
-TEST(MachineReport, RecordsKnobSet) {
-  const std::string report = machine_report(generic_host());
-  for (const char* key : {"knobs:", "skin=", "halo_delta=", "halo_coalesce=",
-                          "shared_halo=", "ranks_per_node="}) {
-    EXPECT_NE(report.find(key), std::string::npos) << key;
+// Sets (value != nullptr) or unsets each variable for its lifetime and
+// restores the previous values afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name);
+      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
+      if (value != nullptr) {
+        ::setenv(name, value, 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
   }
+  ~ScopedEnv() {
+    for (const auto& s : saved_) {
+      if (s.was_set) {
+        ::setenv(s.name.c_str(), s.value.c_str(), 1);
+      } else {
+        ::unsetenv(s.name.c_str());
+      }
+    }
+  }
+
+ private:
+  struct Saved {
+    std::string name;
+    bool was_set;
+    std::string value;
+  };
+  std::vector<Saved> saved_;
+};
+
+// A tune row records its own knobs (skin, halo delta/coalesce, ...), so
+// the HDEM_* environment of the measuring process must not reach the run:
+// with every knob off in the spec, the knob variables set or unset give
+// the same counters.
+TEST(TuneFile, MeasuredRowIgnoresKnobEnvironment) {
+  MeasureSpec s;
+  s.D = 2;
+  s.n = 4000;
+  s.mode = MeasureSpec::Mode::kMp;
+  s.nprocs = 4;
+  s.velocity_scale = 12.0;  // rebuilds inside the window
+  s.iterations = 8;
+  Counters unset, set;
+  {
+    const ScopedEnv env({{"HDEM_SKIN", nullptr},
+                         {"HDEM_HALO_DELTA", nullptr},
+                         {"HDEM_HALO_COALESCE", nullptr},
+                         {"HDEM_SHARED_HALO", nullptr},
+                         {"HDEM_RANKS_PER_NODE", nullptr}});
+    unset = measure_run(s).run.agg;
+  }
+  {
+    const ScopedEnv env({{"HDEM_SKIN", "0.3"},
+                         {"HDEM_HALO_DELTA", "1"},
+                         {"HDEM_HALO_COALESCE", "1"},
+                         {"HDEM_SHARED_HALO", "1"},
+                         {"HDEM_RANKS_PER_NODE", "2"}});
+    set = measure_run(s).run.agg;
+  }
+  EXPECT_GT(unset.rebuilds, 0u);
+  EXPECT_GT(unset.bytes_sent, 0u);
+  EXPECT_EQ(set.force_evals, unset.force_evals);
+  EXPECT_EQ(set.rebuilds, unset.rebuilds);
+  EXPECT_EQ(set.bytes_sent, unset.bytes_sent);
+  EXPECT_EQ(set.halo_bytes_delta, 0u);
+  EXPECT_EQ(set.msgs_shared, 0u);
 }
 
 }  // namespace

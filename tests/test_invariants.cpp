@@ -1,11 +1,18 @@
-// Physical invariants as tests.  Pair forces are equal and opposite, so
-// with periodic boundaries and no gravity the total momentum of a run is
-// conserved to rounding, under every driver, force executor and step
-// schedule.  A core-halo pair is evaluated once on each side of a block
-// face; when the two sides disagree (a stale halo copy, one side's force
-// dropped or counted twice) the total moves by pair forces, many orders
-// of magnitude above the bound.  Dropping both halves of a pair conserves
-// momentum; the trajectory identity suites catch that.
+// Physical invariants as tests.
+//
+// Momentum.  Pair forces are equal and opposite, so with periodic
+// boundaries and no gravity the total momentum of a run is conserved to
+// rounding, under every driver, force executor and step schedule.  A
+// core-halo pair is evaluated once on each side of a block face; when the
+// two sides disagree (a stale halo copy, one side's force dropped or
+// counted twice) the total moves by pair forces, many orders of magnitude
+// above the bound.  Dropping both halves of a pair conserves momentum; the
+// trajectory identity suites catch that.
+//
+// Energy.  The symplectic integrator keeps the total energy of the elastic
+// benchmark system within a small band; a force that disagrees with its
+// potential, or a potential counted with the wrong weight, moves it out of
+// that band.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -137,6 +144,77 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MpCase>& info) {
       return std::string(info.param.name);
     });
+
+// The quickstart workload (examples/quickstart: 2-D, paper density,
+// rc = 1.5 rmax, seed 2026, periodic) at n = 2000 for 200 steps, where the
+// serial driver's relative drift |E(200) - E(1)| / |E(1)| is 3.77e-4
+// (quickstart --n=2000 --steps=200; 3.1e-4 at the default n = 20000).
+// The bound is 4x that.  The threaded and decomposed drivers follow the
+// same trajectory to rounding, so they share the bound.
+constexpr std::uint64_t kDriftParticles = 2000;
+constexpr std::uint64_t kDriftSteps = 200;
+constexpr double kDriftBound = 1.5e-3;
+
+SimConfig<2> quickstart_config() {
+  SimConfig<2> cfg;
+  cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(kDriftParticles));
+  cfg.cutoff_factor = 1.5;
+  cfg.seed = 2026;
+  cfg.bc = BoundaryKind::kPeriodic;
+  return cfg;
+}
+
+double relative_drift(double e1, double e_end) {
+  return std::abs(e_end - e1) / std::abs(e1);
+}
+
+template <class Sim>
+double undecomposed_drift(Sim& sim) {
+  sim.step();
+  const double e1 = sim.total_energy();
+  sim.run(kDriftSteps - 1);
+  return relative_drift(e1, sim.total_energy());
+}
+
+TEST(EnergyDrift, SerialSim) {
+  const auto cfg = quickstart_config();
+  auto sim = SerialSim<2>::make_random(cfg, model_of(cfg), kDriftParticles);
+  EXPECT_LE(undecomposed_drift(sim), kDriftBound);
+}
+
+TEST(EnergyDrift, SmpSimColoredT4) {
+  const auto cfg = quickstart_config();
+  auto sim = SmpSim<2>::make_random(cfg, model_of(cfg), kDriftParticles, 4,
+                                    ReductionKind::kColored);
+  EXPECT_LE(undecomposed_drift(sim), kDriftBound);
+}
+
+// Four blocks over P ranks of T threads each.
+double mp_drift(int procs, int threads, bool fused) {
+  const auto cfg = quickstart_config();
+  const auto init = uniform_random_particles(cfg, kDriftParticles);
+  const auto layout = DecompLayout<2>::make(procs, 4 / procs);
+  double drift = 0.0;
+  mp::run(procs, [&](mp::Comm& comm) {
+    typename MpSim<2>::Options opts;
+    opts.nthreads = threads;
+    opts.reduction = ReductionKind::kColored;
+    opts.fused = fused;
+    MpSim<2> sim(cfg, layout, comm, model_of(cfg), init, opts);
+    sim.step();
+    const double e1 = sim.global_energy();
+    sim.run(kDriftSteps - 1);
+    const double e_end = sim.global_energy();
+    if (comm.rank() == 0) drift = relative_drift(e1, e_end);
+  });
+  return drift;
+}
+
+TEST(EnergyDrift, MpSimP4) { EXPECT_LE(mp_drift(4, 1, false), kDriftBound); }
+
+TEST(EnergyDrift, MpSimFused2x2) {
+  EXPECT_LE(mp_drift(2, 2, true), kDriftBound);
+}
 
 }  // namespace
 }  // namespace hdem

@@ -151,8 +151,8 @@ void expect_same_stats(const Counters& got, const Counters& want,
   }
 }
 
-// build_links_fused against the two-pass oracle build_links, on the
-// one-member team and on thread teams of several sizes (3 and 7 leave
+// build_links_fused against the two-pass oracle build_links on thread
+// teams of several sizes, the one-member team included (3 and 7 leave
 // uneven cell ranges).  Returns the oracle's link count.
 template <int D>
 std::size_t expect_same_links(const CellGrid<D>& grid,
@@ -161,15 +161,6 @@ std::size_t expect_same_links(const CellGrid<D>& grid,
   LinkList oracle;
   Counters want;
   build_links(oracle, grid, pos, ncore, rc, disp, &want);
-  {
-    SoloTeam solo;
-    LinkList fused;
-    FusedBuildScratch scratch;
-    Counters got;
-    build_links_fused(fused, grid, pos, ncore, rc, disp, solo, scratch, &got);
-    expect_same_list(fused, oracle, "solo");
-    expect_same_stats(got, want, "solo");
-  }
   for (const int t : {1, 2, 3, 4, 7}) {
     smp::ThreadTeam team(t);
     LinkList fused;

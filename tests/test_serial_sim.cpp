@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 namespace hdem {
 namespace {
@@ -121,53 +123,125 @@ TEST(SerialSim, IterationCounting) {
   EXPECT_EQ(sim.counters().position_updates, 17u * 100u);
 }
 
+// The bond tests run on the serial driver (a one-member team) and on a
+// four-member colored team.
+constexpr int kBondTeams[] = {1, 4};
+
+std::string team_label(int threads) { return "T=" + std::to_string(threads); }
+
 TEST(SerialSim, BondHoldsDimerTogether) {
-  auto cfg = small_config<2>(BoundaryKind::kWalls);
-  cfg.velocity_scale = 0.0;
-  std::vector<ParticleInit<2>> init = {{Vec<2>(0.4, 0.5), Vec<2>(0.5, 0.0)},
-                                       {Vec<2>(0.45, 0.5), Vec<2>(-0.5, 0.0)}};
-  SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
-  sim.add_bond(0, 1, BondedSpring{500.0, 2.0, 0.05});
-  sim.run(2000);
-  // With damping, the dimer settles near its rest separation even though
-  // the particles started with opposing velocities.
-  double sep = 0.0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (std::size_t j = i + 1; j < 2; ++j) {
-      sep = norm(sim.store().pos(i) - sim.store().pos(j));
-    }
+  for (const int threads : kBondTeams) {
+    SCOPED_TRACE(team_label(threads));
+    auto cfg = small_config<2>(BoundaryKind::kWalls);
+    cfg.velocity_scale = 0.0;
+    std::vector<ParticleInit<2>> init = {
+        {Vec<2>(0.4, 0.5), Vec<2>(0.5, 0.0)},
+        {Vec<2>(0.45, 0.5), Vec<2>(-0.5, 0.0)}};
+    SmpSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                  threads);
+    sim.add_bond(0, 1, BondedSpring{500.0, 2.0, 0.05});
+    sim.run(2000);
+    // With damping, the dimer settles near its rest separation even though
+    // the particles started with opposing velocities.
+    const double sep = norm(sim.store().pos(0) - sim.store().pos(1));
+    EXPECT_NEAR(sep, 0.05, 0.02);
   }
-  EXPECT_NEAR(sep, 0.05, 0.02);
 }
 
 TEST(SerialSim, BondsSurviveReordering) {
-  auto cfg = small_config<2>(BoundaryKind::kWalls);
-  cfg.velocity_scale = 1.0;  // force rebuilds (and reorders)
-  auto init = uniform_random_particles(cfg, 300);
-  // Start the bonded pair adjacent (a bond across the box would explode).
-  init[0].pos = Vec<2>(0.50, 0.50);
-  init[1].pos = Vec<2>(0.55, 0.50);
-  SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
-  // Bond two specific *ids*; after reorders the bond must still join the
-  // same physical pair, holding them close.
-  sim.add_bond(0, 1, BondedSpring{2000.0, 5.0, 0.05});
-  sim.run(300);
-  EXPECT_GT(sim.counters().reorders, 1u);
-  // find particles with id 0 and 1
-  Vec<2> p0{}, p1{};
-  for (std::size_t i = 0; i < sim.store().size(); ++i) {
-    if (sim.store().id(i) == 0) p0 = sim.store().pos(i);
-    if (sim.store().id(i) == 1) p1 = sim.store().pos(i);
+  for (const int threads : kBondTeams) {
+    SCOPED_TRACE(team_label(threads));
+    auto cfg = small_config<2>(BoundaryKind::kWalls);
+    cfg.velocity_scale = 1.0;  // force rebuilds (and reorders)
+    auto init = uniform_random_particles(cfg, 300);
+    // Start the bonded pair adjacent (a bond across the box would explode).
+    init[0].pos = Vec<2>(0.50, 0.50);
+    init[1].pos = Vec<2>(0.55, 0.50);
+    SmpSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                  threads);
+    // Bond two specific *ids*; after reorders the bond must still join the
+    // same physical pair, holding them close.
+    sim.add_bond(0, 1, BondedSpring{2000.0, 5.0, 0.05});
+    sim.run(300);
+    EXPECT_GT(sim.counters().reorders, 1u);
+    Vec<2> p0{}, p1{};
+    for (std::size_t i = 0; i < sim.store().size(); ++i) {
+      if (sim.store().id(i) == 0) p0 = sim.store().pos(i);
+      if (sim.store().id(i) == 1) p1 = sim.store().pos(i);
+    }
+    EXPECT_LT(norm(sim.boundary().displacement(p0, p1)), 0.2);
   }
-  EXPECT_LT(norm(sim.boundary().displacement(p0, p1)), 0.2);
 }
 
 TEST(SerialSim, AddBondValidatesIndices) {
-  auto cfg = small_config<2>();
-  auto sim = SerialSim<2>::make_random(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, 10);
-  EXPECT_THROW(sim.add_bond(0, 0, BondedSpring{}), std::invalid_argument);
-  EXPECT_THROW(sim.add_bond(0, 100, BondedSpring{}), std::invalid_argument);
-  EXPECT_THROW(sim.add_bond(-1, 1, BondedSpring{}), std::invalid_argument);
+  for (const int threads : kBondTeams) {
+    SCOPED_TRACE(team_label(threads));
+    auto cfg = small_config<2>();
+    auto sim = SmpSim<2>::make_random(
+        cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, 10, threads);
+    EXPECT_THROW(sim.add_bond(0, 0, BondedSpring{}), std::invalid_argument);
+    EXPECT_THROW(sim.add_bond(0, 100, BondedSpring{}), std::invalid_argument);
+    EXPECT_THROW(sim.add_bond(-1, 1, BondedSpring{}), std::invalid_argument);
+  }
+}
+
+// Bonded grains of a dissipative model in a walled box, through several
+// reorders: bond forces land on the master after the team's pass, so
+// positions and velocities are bit-identical at every team size.  Only the
+// potential's per-thread partial sums are added in another order.
+TEST(SerialSim, BondedDissipativeRunIdenticalAcrossTeams) {
+  SimConfig<2> cfg;
+  cfg.box = Vec<2>(1.0);
+  cfg.bc = BoundaryKind::kWalls;
+  cfg.gravity = Vec<2>(0.0, -1.0);
+  cfg.velocity_scale = 1.0;  // rebuilds (and reorders) inside the run
+  cfg.seed = 19;
+  auto init = uniform_random_particles(cfg, 600);
+  // 100 dimers: particle 2k+1 sits one rest length right of particle 2k.
+  for (std::size_t k = 0; k < 100; ++k) {
+    init[2 * k + 1].pos =
+        init[2 * k].pos + Vec<2>(init[2 * k].pos[0] < 0.9 ? 0.05 : -0.05, 0.0);
+  }
+  const DissipativeSphere model{cfg.stiffness, 1.0, cfg.diameter};
+
+  struct Result {
+    std::vector<StateRecord<2>> state;
+    double potential = 0.0;
+    std::uint64_t reorders = 0;
+  };
+  const auto run = [&](int threads) {
+    SmpSim<2, DissipativeSphere> sim(cfg, model, init, threads);
+    for (std::int32_t k = 0; k < 100; ++k) {
+      sim.add_bond(2 * k, 2 * k + 1, BondedSpring{500.0, 2.0, 0.05});
+    }
+    sim.run(300);
+    Result r;
+    r.state.resize(sim.store().size());
+    for (std::size_t i = 0; i < sim.store().size(); ++i) {
+      const auto id = sim.store().id(i);
+      r.state[static_cast<std::size_t>(id)] = {id, sim.store().pos(i),
+                                               sim.store().vel(i)};
+    }
+    r.potential = sim.potential_energy();
+    r.reorders = sim.counters().reorders;
+    return r;
+  };
+
+  const Result ref = run(1);
+  EXPECT_GT(ref.reorders, 3u);
+  EXPECT_GT(ref.potential, 0.0);
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(team_label(threads));
+    const Result got = run(threads);
+    EXPECT_EQ(got.reorders, ref.reorders);
+    for (std::size_t i = 0; i < ref.state.size(); ++i) {
+      for (int d = 0; d < 2; ++d) {
+        ASSERT_EQ(got.state[i].pos[d], ref.state[i].pos[d]) << "id " << i;
+        ASSERT_EQ(got.state[i].vel[d], ref.state[i].vel[d]) << "id " << i;
+      }
+    }
+    EXPECT_NEAR(got.potential, ref.potential, 1e-12 * std::abs(ref.potential));
+  }
 }
 
 TEST(SerialSim, ConfigValidation) {
@@ -198,15 +272,18 @@ TEST(SerialSim, ClusteredInitConfinedToFraction) {
 }
 
 TEST(SerialSim, IndexOfIdTracksReordering) {
-  auto cfg = small_config<2>();
-  cfg.velocity_scale = 1.0;
-  auto sim = SerialSim<2>::make_random(
-      cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, 200);
-  sim.run(120);
-  EXPECT_GT(sim.counters().reorders, 1u);
-  for (std::int32_t id = 0; id < 200; ++id) {
-    const auto idx = static_cast<std::size_t>(sim.index_of_id(id));
-    EXPECT_EQ(sim.store().id(idx), id);
+  for (const int threads : kBondTeams) {
+    SCOPED_TRACE(team_label(threads));
+    auto cfg = small_config<2>();
+    cfg.velocity_scale = 1.0;
+    auto sim = SmpSim<2>::make_random(
+        cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, 200, threads);
+    sim.run(120);
+    EXPECT_GT(sim.counters().reorders, 1u);
+    for (std::int32_t id = 0; id < 200; ++id) {
+      const auto idx = static_cast<std::size_t>(sim.index_of_id(id));
+      EXPECT_EQ(sim.store().id(idx), id);
+    }
   }
 }
 

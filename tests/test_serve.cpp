@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/serial_sim.hpp"
 #include "core/step_loop.hpp"
 #include "io/checkpoint.hpp"
 #include "trace/tracer.hpp"
