@@ -15,7 +15,7 @@
 #include <sstream>
 
 #include "common.hpp"
-#include "util/decomp_cli.hpp"
+#include "util/knob_cli.hpp"
 
 using namespace hdem;
 using namespace hdem::bench;
@@ -64,15 +64,11 @@ int main(int argc, char** argv) {
   declare_common_options(cli, ctx);
   const double fraction =
       cli.real("cluster", 0.5, "fraction of the box holding all particles");
-  const auto decomp = declare_decomp_options(cli, {1, 2, 4, 8, 16, 32});
-  if (cli.finish()) return 0;
+  RunKnobs knobs;
+  const auto bpps = declare_decomp_options(cli, knobs, {1, 2, 4, 8, 16, 32});
+  if (cli.finish()) return cli.exit_code();
   calibrate_platforms(ctx);
   const auto& machine = ctx.cpq;
-
-  std::vector<int> bpps;
-  for (const std::int64_t b : decomp.blocks_per_proc) {
-    bpps.push_back(static_cast<int>(b));
-  }
 
   std::ostringstream out;
   out << "== Extension: clustered workload (particles in the bottom "
@@ -87,8 +83,9 @@ int main(int argc, char** argv) {
   std::vector<double> xs, mpi_t, hyb_t, fus_t;
   double best_mpi = 1e300, best_hyb = 1e300, best_fus = 1e300;
   int best_mpi_bpp = 0, best_hyb_bpp = 0, best_fus_bpp = 0;
-  for (int bpp : bpps) {
-    perf::MeasureSpec mpi;
+  for (const std::int64_t b : bpps) {
+    const int bpp = static_cast<int>(b);
+    perf::MeasureSpec mpi{knobs};
     mpi.D = 2;
     mpi.n = ctx.n_for(2);
     mpi.rc_factor = 1.5;
@@ -97,14 +94,10 @@ int main(int argc, char** argv) {
     mpi.blocks_per_proc = bpp;
     mpi.cluster_fraction = fraction;
     mpi.iterations = ctx.iters;
-    mpi.rebalance = decomp.rebalance;
-    mpi.rebalance_threshold = decomp.rebalance_threshold;
-    mpi.shared_halo = decomp.shared_halo;
-    mpi.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
     // An adaptive run must cross a list rebuild to adopt its table; give
     // it a longer settling window (see bench/fig11_clustered_balance for
     // the direct static-vs-adaptive wall-clock comparison).
-    if (decomp.rebalance) mpi.warmup = 20;
+    if (knobs.rebalance) mpi.warmup = 20;
     const auto pm = predict_imbalanced(machine, perf::measure_run(mpi).run, 4);
 
     perf::MeasureSpec hyb = mpi;

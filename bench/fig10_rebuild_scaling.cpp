@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
       "traj-n", 6'000, "particles for the bit-identity trajectory check"));
   const auto traj_steps = static_cast<int>(
       cli.integer("traj-steps", 120, "steps for the trajectory check"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::ostringstream out;
   out << "== Fig 10: rebuild-pipeline scaling (host time, colored "

@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
       "traj-n", 2'000, "particles for the bit-identity trajectory check"));
   const auto traj_steps = static_cast<int>(
       cli.integer("traj-steps", 120, "steps for the trajectory check"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   SimConfig<2> cfg;
   cfg.box = Vec<2>(1.0);

@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
       cli.integer("iters", 40, "measured iterations per throughput point"));
   const auto reps = static_cast<int>(
       cli.integer("reps", 3, "repetitions per point (best-of)"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   const double identity_skins[] = {0.0, 0.1, 0.3};
   const double kCap = 0.3;  // pinned binning capacity = max swept skin
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
       spec.D = 2;
       spec.n = n_perf;
       spec.mode = perf::MeasureSpec::Mode::kSerial;
-      spec.skin = skin;
+      spec.skin_factor = skin;
       spec.velocity_scale = w.velocity_scale;
       spec.warmup = 2;
       spec.iterations = iters;
@@ -325,7 +325,7 @@ int main(int argc, char** argv) {
   mspec.mode = perf::MeasureSpec::Mode::kMp;
   mspec.nprocs = 2;
   mspec.blocks_per_proc = 2;
-  mspec.skin = best_skin;
+  mspec.skin_factor = best_skin;
   mspec.velocity_scale = 18.0;
   mspec.warmup = 2;
   mspec.iterations = iters;

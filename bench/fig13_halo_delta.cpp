@@ -160,7 +160,7 @@ perf::MeasureSpec settled_spec(bool delta, bool coalesce, int nprocs, int bpp,
   s.blocks_per_proc = bpp;
   s.halo_delta = delta;
   s.halo_coalesce = coalesce;
-  s.skin = 0.1;
+  s.skin_factor = 0.1;
   s.settled_stride = 5;  // 20% mobile minority
   s.settled_speed = 0.25;
   s.box_scale = 1.6;  // lattice spacing 0.08 > rc = 0.075: contact-free
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
       cli.integer("iters", 40, "measured iterations per settled-bed run"));
   const auto reps = static_cast<int>(
       cli.integer("reps", 2, "repetitions per settled-bed case (best-of)"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::ostringstream out;
   out << "== Fig 13: delta-compressed, coalesced halo exchange ==\n\n";

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       cli.integer("smalls", 4, "interactive latency probes"));
   const auto seed =
       static_cast<std::uint64_t>(cli.integer("seed", 2026, "trace seed"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::ostringstream out;
   out << "== Fig 14: multi-tenant serving over one shared thread team ==\n\n";

@@ -69,7 +69,7 @@ struct WorkloadEval {
   // carries >= kPhaseShare of the step.
   std::array<double, perf::FittedModel::kPhaseCount> phase_err{};
   std::array<int, perf::FittedModel::kPhaseCount> phase_rows{};
-  perf::TuneConfig chosen;
+  RunKnobs chosen;
   double chosen_sps = 0.0;
   double best_sps = 0.0;
   bool total_ok = true;
@@ -124,7 +124,7 @@ WorkloadEval evaluate_workload(const std::string& name,
     t.add_row({std::to_string(r.config.nprocs),
                std::to_string(r.config.nthreads),
                std::to_string(r.config.blocks_per_proc),
-               Table::num(r.config.skin, 2),
+               Table::num(r.config.skin_factor, 2),
                Table::num(r.rebuilds_per_step, 3),
                Table::num(r.imbalance, 2),
                Table::num(1e3 * r.step_seconds, 3),
@@ -168,7 +168,7 @@ WorkloadEval evaluate_workload(const std::string& name,
   }
 
   // --auto's choice, checked against the sweep's best measured config.
-  std::vector<perf::TuneConfig> candidates;
+  std::vector<RunKnobs> candidates;
   for (const perf::TuneRow& r : ev.rows) candidates.push_back(r.config);
   const auto ranked = perf::predict_ranked(ev.model, sweep.workload,
                                            candidates);
@@ -180,12 +180,7 @@ WorkloadEval evaluate_workload(const std::string& name,
       best_row = &r;
     }
   }
-  const auto same_config = [](const perf::TuneConfig& a,
-                              const perf::TuneConfig& b) {
-    return a.nprocs == b.nprocs && a.nthreads == b.nthreads &&
-           a.blocks_per_proc == b.blocks_per_proc && a.skin == b.skin;
-  };
-  if (best_row != nullptr && same_config(ev.chosen, best_row->config)) {
+  if (best_row != nullptr && ev.chosen == best_row->config) {
     ev.chosen_sps = ev.best_sps = best_row->steps_per_second();
   } else if (best_row != nullptr) {
     // Re-measure the two configs head-to-head (interleaved, keep-fastest):
@@ -211,7 +206,7 @@ WorkloadEval evaluate_workload(const std::string& name,
   ev.auto_ok = ev.best_sps > 0.0 && ev.chosen_sps >= kAutoFloor * ev.best_sps;
   out << "auto choice: P=" << ev.chosen.nprocs << " T=" << ev.chosen.nthreads
       << " B=" << ev.chosen.blocks_per_proc << " skin="
-      << Table::num(ev.chosen.skin, 2) << " -> measured "
+      << Table::num(ev.chosen.skin_factor, 2) << " -> measured "
       << Table::num(ev.chosen_sps, 1) << " steps/s vs sweep best "
       << Table::num(ev.best_sps, 1) << " ("
       << Table::num(ev.best_sps > 0.0 ? 1e2 * ev.chosen_sps / ev.best_sps
@@ -279,7 +274,7 @@ bool serving_identity_gate(const perf::FittedModel& model,
         (fs::path(dir) / ("job_" + std::to_string(spec.job_id) + ".ckp"))
             .string();
     const auto choice = perf::choose_serving(
-        model, job_workload(spec), spec.skin_factor,
+        model, job_workload(spec), serve::job_knobs(spec),
         m.deadline == serve::DeadlineClass::kInteractive, 2);
     spec.inner_threads = choice.inner_threads;
     if (quantum == 0 || choice.quantum_steps < quantum) {
@@ -367,7 +362,7 @@ int main(int argc, char** argv) {
       "max-cpus", 0, "skip grid points with P*T above this (0: no cap)"));
   const bool smoke = cli.flag(
       "smoke", "tiny grid, tolerance gates reported but not asserted (TSan)");
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   if (smoke) {
     n = 800;
@@ -454,7 +449,7 @@ int main(int argc, char** argv) {
     chosen.num("P", ev->chosen.nprocs)
         .num("T", ev->chosen.nthreads)
         .num("B", ev->chosen.blocks_per_proc)
-        .num("skin", ev->chosen.skin);
+        .num("skin", ev->chosen.skin_factor);
     JsonObject w;
     w.str("name", ev->name)
         .num("rows", static_cast<double>(ev->rows.size()))

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "common.hpp"
-#include "util/decomp_cli.hpp"
+#include "util/knob_cli.hpp"
 
 using namespace hdem;
 using namespace hdem::bench;
@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   BenchContext ctx;
   declare_common_options(cli, ctx);
-  const auto decomp = declare_decomp_options(cli, {1, 2, 4, 8, 16, 32});
-  if (cli.finish()) return 0;
+  RunKnobs knobs;
+  const auto bpps = declare_decomp_options(cli, knobs, {1, 2, 4, 8, 16, 32});
+  if (cli.finish()) return cli.exit_code();
   calibrate_platforms(ctx);
 
   struct Series {
@@ -25,10 +26,6 @@ int main(int argc, char** argv) {
     int nprocs;
   };
   const std::vector<Series> series = {{"Sun", 8}, {"T3E", 32}, {"CPQ", 16}};
-  std::vector<int> bpps;
-  for (const std::int64_t b : decomp.blocks_per_proc) {
-    bpps.push_back(static_cast<int>(b));
-  }
 
   std::ostringstream out;
   out << "== Fig 3: MPI performance vs blocks per process B/P (rc=1.5, "
@@ -43,8 +40,9 @@ int main(int argc, char** argv) {
     for (int D : {2, 3}) {
       std::vector<double> xs, ys;
       double t1 = 0.0;
-      for (int bpp : bpps) {
-        perf::MeasureSpec spec;
+      for (const std::int64_t b : bpps) {
+        const int bpp = static_cast<int>(b);
+        perf::MeasureSpec spec{knobs};
         spec.D = D;
         spec.n = ctx.n_for(D);
         spec.rc_factor = 1.5;
@@ -52,10 +50,6 @@ int main(int argc, char** argv) {
         spec.nprocs = s.nprocs;
         spec.blocks_per_proc = bpp;
         spec.iterations = ctx.iters;
-        spec.rebalance = decomp.rebalance;
-        spec.rebalance_threshold = decomp.rebalance_threshold;
-        spec.shared_halo = decomp.shared_halo;
-        spec.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
         const auto m = perf::measure_run(spec);
         const double tp = predict_paper_seconds(
             machine, m.run, mpi_ranks_per_node(machine, s.nprocs));

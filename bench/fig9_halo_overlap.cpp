@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   const auto bpps = cli.integer_list("bpp", {1, 4}, "blocks per process");
   const auto which = cli.choice("overlap", "both", {"off", "on", "both"},
                                 "which halo schedule(s) to run");
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::vector<Config> configs;
   for (int D : {2, 3}) {

@@ -9,8 +9,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "util/decomp_cli.hpp"
-#include "util/halo_cli.hpp"
+#include "util/knob_cli.hpp"
 
 namespace hdem::bench {
 
@@ -27,17 +26,13 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
   Cli cli(argc, argv);
   BenchContext ctx;
   declare_common_options(cli, ctx);
-  const auto decomp =
-      declare_decomp_options(cli, {1, 2, 4, 8, 16, 32});
-  const auto halo = declare_halo_options(cli);
-  if (cli.finish()) return 0;
+  RunKnobs knobs;
+  knobs.reduction = hybrid_reduction;
+  const auto bpps = declare_decomp_options(cli, knobs, {1, 2, 4, 8, 16, 32});
+  declare_halo_options(cli, knobs);
+  if (cli.finish()) return cli.exit_code();
   calibrate_platforms(ctx);
   const auto& machine = ctx.cpq;
-
-  std::vector<int> bpps;
-  for (const std::int64_t b : decomp.blocks_per_proc) {
-    bpps.push_back(static_cast<int>(b));
-  }
 
   std::ostringstream out;
   out << "== " << title << " ==\n\n";
@@ -48,9 +43,10 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
   for (double rcf : {1.5, 2.0}) {
     std::vector<double> xs, mpi_eff, hyb_eff;
     double t_ref = 0.0;
-    for (int bpp : bpps) {
+    for (const std::int64_t b : bpps) {
+      const int bpp = static_cast<int>(b);
       // Pure MPI: 16 ranks packed four per node.
-      perf::MeasureSpec mpi;
+      perf::MeasureSpec mpi{knobs};
       mpi.D = D;
       mpi.n = ctx.n_for(D);
       mpi.rc_factor = rcf;
@@ -58,12 +54,6 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
       mpi.nprocs = 16;
       mpi.blocks_per_proc = bpp;
       mpi.iterations = ctx.iters;
-      mpi.rebalance = decomp.rebalance;
-      mpi.rebalance_threshold = decomp.rebalance_threshold;
-      mpi.shared_halo = decomp.shared_halo;
-      mpi.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
-      mpi.halo_delta = halo.delta;
-      mpi.halo_coalesce = halo.coalesce;
       const double t_mpi =
           predict_paper_seconds(machine, perf::measure_run(mpi).run, 4);
       if (bpp == 1) t_ref = t_mpi;
@@ -73,10 +63,6 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
       hyb.mode = perf::MeasureSpec::Mode::kHybrid;
       hyb.nprocs = 4;
       hyb.nthreads = 4;
-      hyb.blocks_per_proc = bpp;
-      hyb.reduction = hybrid_reduction;
-      hyb.steal =
-          decomp.steal && hybrid_reduction == ReductionKind::kColored;
       const auto hyb_run = perf::measure_run(hyb).run;
       const double t_hyb = predict_paper_seconds(machine, hyb_run, 1);
       const double locks =

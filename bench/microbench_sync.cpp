@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
   }
   const auto only = cli.choice("reduction", "all", strategy_names,
                                "restrict the force-pass sweep to one strategy");
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::ostringstream out;
   out << "== Sync-overhead microbenchmarks (this host's thread-team "

@@ -9,8 +9,7 @@
 #include <vector>
 
 #include "common.hpp"
-#include "util/decomp_cli.hpp"
-#include "util/halo_cli.hpp"
+#include "util/knob_cli.hpp"
 
 namespace hdem::bench {
 
@@ -27,9 +26,11 @@ inline int run_mpi_scaling_bench(int argc, char** argv, bool reorder,
   Cli cli(argc, argv);
   BenchContext ctx;
   declare_common_options(cli, ctx);
-  const auto decomp = declare_decomp_options(cli, {1});
-  const auto halo = declare_halo_options(cli);
-  if (cli.finish()) return 0;
+  RunKnobs knobs;
+  knobs.reorder = reorder;
+  declare_decomp_options(cli, knobs, {1});
+  declare_halo_options(cli, knobs);
+  if (cli.finish()) return cli.exit_code();
   calibrate_platforms(ctx);
 
   // The paper's process counts: T3E runs start at P0 = 8 (memory limits),
@@ -47,21 +48,13 @@ inline int run_mpi_scaling_bench(int argc, char** argv, bool reorder,
     for (int p : s.procs) {
       const auto key = std::make_pair(s.D, p);
       if (measured.count(key)) continue;
-      perf::MeasureSpec spec;
+      perf::MeasureSpec spec{knobs};
       spec.D = s.D;
       spec.n = ctx.n_for(s.D);
       spec.rc_factor = 1.5;  // the paper's Figures 1-3 use rc = 1.5 rmax
-      spec.reorder = reorder;
       spec.mode = perf::MeasureSpec::Mode::kMp;
       spec.nprocs = p;
-      spec.blocks_per_proc = static_cast<int>(decomp.bpp());
       spec.iterations = ctx.iters;
-      spec.rebalance = decomp.rebalance;
-      spec.rebalance_threshold = decomp.rebalance_threshold;
-      spec.shared_halo = decomp.shared_halo;
-      spec.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
-      spec.halo_delta = halo.delta;
-      spec.halo_coalesce = halo.coalesce;
       measured.emplace(key, perf::measure_run(spec).run);
     }
   }

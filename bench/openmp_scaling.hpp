@@ -29,7 +29,7 @@ inline int run_openmp_scaling_bench(int argc, char** argv,
   Cli cli(argc, argv);
   BenchContext ctx;
   declare_common_options(cli, ctx);
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
   calibrate_platforms(ctx);
   const auto& machine = ctx.machine(platform);
 

@@ -279,7 +279,7 @@ int main(int argc, char** argv) {
       "traj-n", 4'000, "particles for the bit-identity trajectory check"));
   const auto traj_steps = static_cast<int>(
       cli.integer("traj-steps", 120, "steps for the trajectory check"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   std::vector<int> widths{1};
   if (simd::kMaxWidth >= 2 && simd::cpu_supports_width(2)) widths.push_back(2);

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.integer("grains", 150, "number of grains"));
   const auto steps = static_cast<std::uint64_t>(
       cli.integer("steps", 10000, "settling iterations"));
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   SimConfig<2> cfg;
   cfg.box = Vec<2>(2.0, 2.0);

@@ -17,8 +17,6 @@
 // hybrid leg.  The choice never moves a trajectory bit — every split
 // integrates the same physics.
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <utility>
 #include <vector>
@@ -30,9 +28,7 @@
 #include "perf/report.hpp"
 #include "perf/tune.hpp"
 #include "util/cli.hpp"
-#include "util/decomp_cli.hpp"
-#include "util/halo_cli.hpp"
-#include "util/skin_cli.hpp"
+#include "util/knob_cli.hpp"
 #include "util/tune_cli.hpp"
 
 using namespace hdem;
@@ -43,29 +39,18 @@ namespace {
 // workload and save it there first.
 perf::FittedModel ensure_hybrid_model(const TuneCliOptions& tune,
                                       const perf::TuneWorkload& w,
-                                      double skin_v) {
-  const std::string path = tune.tune_file_path("hybrid");
-  if (std::filesystem::exists(path)) {
-    std::printf("auto: fitting scaling model from %s\n", path.c_str());
-    return perf::fit_model(perf::load_tune_rows(path));
-  }
-  std::printf("auto: no tune file at %s; measuring a hybrid sweep...\n",
-              path.c_str());
-  perf::SweepSpec sweep;
-  sweep.workload = w;
-  sweep.skins = {skin_v};
-  sweep.iterations = 6;
-  sweep.warmup = 2;
-  sweep.min_seconds = 0.01;
-  sweep.max_cpus = 4;
-  const auto rows = perf::run_sweep(sweep);
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  std::ofstream out(p);
-  out << perf::format_tune_rows(rows);
-  std::printf("auto: saved %zu measurement rows to %s\n", rows.size(),
-              path.c_str());
-  return perf::fit_model(rows);
+                                      const RunKnobs& knobs) {
+  return perf::fit_model(perf::load_or_measure_tune_rows(
+      tune.tune_file_path("hybrid"), "hybrid", [&] {
+        perf::SweepSpec sweep;
+        sweep.workload = w;
+        sweep.skins = {knobs.skin_factor};
+        sweep.iterations = 6;
+        sweep.warmup = 2;
+        sweep.min_seconds = 0.01;
+        sweep.max_cpus = 4;
+        return perf::run_sweep(sweep);
+      }));
 }
 
 }  // namespace
@@ -76,23 +61,20 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.integer("n", 8000, "particles"));
   const auto steps =
       static_cast<std::uint64_t>(cli.integer("steps", 60, "iterations"));
-  const auto decomp = declare_decomp_options(cli, {4});
-  const auto skin = declare_skin_options(cli);
-  const auto halo = declare_halo_options(cli);
+  // Stealing rides the colored reduction (--steal selects it); the
+  // atomic-family default stays for the plain run so the locked-update
+  // column remains meaningful.
+  RunKnobs knobs;
+  declare_decomp_options(cli, knobs, {4});
+  declare_steal_option(cli, knobs);
+  declare_skin_options(cli, knobs);
+  declare_halo_options(cli, knobs);
   const TuneCliOptions tune = declare_tune_options(cli);
-  if (cli.finish()) return 0;
-  // Stealing rides the colored reduction; the atomic-family default stays
-  // for the plain run so the locked-update column remains meaningful.
-  const ReductionKind reduction = decomp.steal
-                                      ? ReductionKind::kColored
-                                      : ReductionKind::kSelectedAtomic;
+  if (cli.finish()) return cli.exit_code();
 
-  SimConfig<2> cfg;
+  SimConfig<2> cfg{knobs};
   cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(n));
   cfg.seed = 99;
-  cfg.skin_factor = skin.skin;
-  cfg.skin_cap_factor = skin.skin_cap;
-  halo.apply(cfg);
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
   const auto init = uniform_random_particles(cfg, n);
 
@@ -111,7 +93,7 @@ int main(int argc, char** argv) {
   std::printf("serial:  energy %.6f\n", serial.total_energy());
 
   // --- threads (pure shared memory, links decomposed over 4 threads) ----
-  SmpSim<2> smp(cfg, model, init, 4, reduction, decomp.steal);
+  SmpSim<2> smp(cfg, model, init, 4, knobs.reduction, knobs.steal);
   smp.run(steps);
   double smp_err = 0.0;
   for (std::size_t i = 0; i < smp.store().size(); ++i) {
@@ -128,15 +110,9 @@ int main(int argc, char** argv) {
           static_cast<double>(smp_c.atomic_updates + smp_c.plain_updates));
 
   // --- pure message passing: 4 ranks, --blocks-per-proc blocks each ------
-  const auto layout =
-      DecompLayout<2>::make(4, static_cast<int>(decomp.bpp()));
+  const auto layout = DecompLayout<2>::make(4, knobs.blocks_per_proc);
   mp::run(4, [&](mp::Comm& comm) {
-    MpSim<2>::Options mp_opts;
-    mp_opts.rebalance = decomp.rebalance;
-    mp_opts.rebalance_threshold = decomp.rebalance_threshold;
-    mp_opts.shared_halo = decomp.shared_halo;
-    mp_opts.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
-    MpSim<2> sim(cfg, layout, comm, model, init, mp_opts);
+    MpSim<2> sim(cfg, layout, comm, model, init, knobs);
     sim.run(steps);
     const double energy = sim.global_energy();
     auto state = sim.gather_state();
@@ -168,19 +144,13 @@ int main(int argc, char** argv) {
     perf::TuneWorkload w;
     w.n = n;
     w.velocity_scale = cfg.velocity_scale;
-    const perf::FittedModel fitted = ensure_hybrid_model(tune, w, skin.skin);
-    std::vector<perf::TuneConfig> candidates;
+    const perf::FittedModel fitted = ensure_hybrid_model(tune, w, knobs);
+    std::vector<RunKnobs> candidates;
     for (const auto& [p_c, t_c] : {std::pair{1, 4}, {2, 2}, {4, 1}}) {
-      perf::TuneConfig c;
+      RunKnobs c = knobs;
       c.nprocs = p_c;
       c.nthreads = t_c;
-      c.blocks_per_proc = (4 / p_c) * static_cast<int>(decomp.bpp());
-      c.skin = skin.skin;
-      c.skin_cap = skin.skin_cap;
-      c.halo_delta = cfg.halo_delta;
-      c.halo_coalesce = cfg.halo_coalesce;
-      c.steal = decomp.steal;
-      c.rebalance = decomp.rebalance;
+      c.blocks_per_proc = (4 / p_c) * knobs.blocks_per_proc;
       candidates.push_back(c);
     }
     const auto ranked = perf::predict_ranked(fitted, w, candidates);
@@ -212,17 +182,10 @@ int main(int argc, char** argv) {
                 hybrid_procs, hybrid_threads);
   }
   const auto hybrid_layout = DecompLayout<2>::make(
-      hybrid_procs,
-      (4 / hybrid_procs) * static_cast<int>(decomp.bpp()));
+      hybrid_procs, (4 / hybrid_procs) * knobs.blocks_per_proc);
   mp::run(hybrid_procs, [&](mp::Comm& comm) {
-    MpSim<2>::Options opts;
+    MpOptions opts = knobs;
     opts.nthreads = hybrid_threads;
-    opts.reduction = reduction;
-    opts.steal = decomp.steal;
-    opts.rebalance = decomp.rebalance;
-    opts.rebalance_threshold = decomp.rebalance_threshold;
-    opts.shared_halo = decomp.shared_halo;
-    opts.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
     MpSim<2> sim(cfg, hybrid_layout, comm, model, init, opts);
     sim.run(steps);
     const double energy = sim.global_energy();

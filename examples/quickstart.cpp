@@ -52,6 +52,6 @@ int main(int argc, char** argv) {
   const auto steps = static_cast<std::uint64_t>(
       cli.integer("steps", 200, "iterations to run"));
   const bool dim3 = cli.flag("dim3", "simulate in 3-D instead of 2-D");
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
   return dim3 ? run<3>(n, steps) : run<2>(n, steps);
 }

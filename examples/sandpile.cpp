@@ -23,8 +23,7 @@
 #include "perf/report.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/cli.hpp"
-#include "util/decomp_cli.hpp"
-#include "util/skin_cli.hpp"
+#include "util/knob_cli.hpp"
 
 using namespace hdem;
 
@@ -34,11 +33,16 @@ int main(int argc, char** argv) {
       cli.integer("n", 4000, "number of grains of sand"));
   const auto steps = static_cast<std::uint64_t>(
       cli.integer("steps", 4000, "settling iterations"));
-  const auto decomp = declare_decomp_options(cli, {1, 4, 16, 64});
-  const auto skin = declare_skin_options(cli);
-  if (cli.finish()) return 0;
+  RunKnobs knobs;
+  const auto bpps = declare_blocks_option(cli, knobs, {1, 4, 16, 64});
+  declare_rebalance_option(cli, knobs);
+  declare_skin_options(cli, knobs);
+  if (cli.finish()) return cli.exit_code();
 
-  SimConfig<2> cfg;
+  // A settled pile is the skin's best case: drift shrinks as the sand
+  // comes to rest, so one candidate list serves longer and longer runs of
+  // steps (the reuse line below shows the amortisation).
+  SimConfig<2> cfg{knobs};
   cfg.box = Vec<2>(2.0, 2.0);
   cfg.bc = BoundaryKind::kWalls;
   cfg.gravity = Vec<2>(0.0, -2.0);
@@ -46,11 +50,6 @@ int main(int argc, char** argv) {
   cfg.velocity_scale = 0.1;
   cfg.dt = 4e-4;
   cfg.seed = 7;
-  // A settled pile is the skin's best case: drift shrinks as the sand
-  // comes to rest, so one candidate list serves longer and longer runs of
-  // steps (the reuse line below shows the amortisation).
-  cfg.skin_factor = skin.skin;
-  cfg.skin_cap_factor = skin.skin_cap;
 
   // Start from particles suspended through the box; gravity does the rest.
   auto sim = SerialSim<2>::make_random(
@@ -89,8 +88,8 @@ int main(int argc, char** argv) {
   // shared-memory load balancing.
   std::printf("\nwork imbalance over a 2x2 process grid (P=4):\n");
   std::printf("  %-10s %-8s %-20s %s\n", "B/P", "blocks",
-              "max/mean (cyclic)", decomp.rebalance ? "max/mean (LPT)" : "");
-  for (const std::int64_t bpp : decomp.blocks_per_proc) {
+              "max/mean (cyclic)", knobs.rebalance ? "max/mean (LPT)" : "");
+  for (const std::int64_t bpp : bpps) {
     auto layout = DecompLayout<2>::make(4, static_cast<int>(bpp));
     // Per-block link load: the cost vector the adaptive rebalancer would
     // exchange at a rebuild.
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
              1000.0;
     };
     const double cyclic = ratio(layout.assignment());
-    if (decomp.rebalance) {
+    if (knobs.rebalance) {
       const double lpt = ratio(lpt_assignment<2>(layout, block_links));
       std::printf("  %-10lld %-8d %-20.2f %.2f\n",
                   static_cast<long long>(bpp), layout.nblocks(), cyclic, lpt);

@@ -125,19 +125,10 @@ perf::TuneWorkload job_workload(const serve::JobSpec& spec) {
   return w;
 }
 
-// Load the tune file, or measure a serving-shaped sweep (P = 1, B = 1,
-// thread counts up to the worker pool, one workload class per distinct
-// trace scenario at its median size) and save it there first.
-perf::FittedModel ensure_serving_model(const TuneCliOptions& tune,
-                                       std::span<const serve::JobSpec> specs,
-                                       int workers) {
-  const std::string path = tune.tune_file_path("serving");
-  if (std::filesystem::exists(path)) {
-    std::printf("auto: fitting scaling model from %s\n", path.c_str());
-    return perf::fit_model(perf::load_tune_rows(path));
-  }
-  std::printf("auto: no tune file at %s; measuring a serving sweep...\n",
-              path.c_str());
+// A serving-shaped sweep: P = 1, B = 1, thread counts up to the worker
+// pool, one workload class per distinct trace scenario at its median size.
+std::vector<perf::TuneRow> measure_serving_rows(
+    std::span<const serve::JobSpec> specs, int workers) {
   std::vector<int> threads{1};
   for (int t = 2; t <= workers; t *= 2) threads.push_back(t);
   if (workers > 1 && threads.back() != workers) threads.push_back(workers);
@@ -166,13 +157,17 @@ perf::FittedModel ensure_serving_model(const TuneCliOptions& tune,
     const auto swept = perf::run_sweep(sweep);
     rows.insert(rows.end(), swept.begin(), swept.end());
   }
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
-  std::ofstream out(p);
-  out << perf::format_tune_rows(rows);
-  std::printf("auto: saved %zu measurement rows to %s\n", rows.size(),
-              path.c_str());
-  return perf::fit_model(rows);
+  return rows;
+}
+
+// Load the tune file, or measure a serving-shaped sweep and save it there
+// first.
+perf::FittedModel ensure_serving_model(const TuneCliOptions& tune,
+                                       std::span<const serve::JobSpec> specs,
+                                       int workers) {
+  return perf::fit_model(perf::load_or_measure_tune_rows(
+      tune.tune_file_path("serving"), "serving",
+      [&] { return measure_serving_rows(specs, workers); }));
 }
 
 }  // namespace
@@ -198,7 +193,7 @@ int main(int argc, char** argv) {
   const bool verify = cli.flag(
       "verify", "re-run every job standalone and byte-compare checkpoints");
   const TuneCliOptions tune = declare_tune_options(cli);
-  if (cli.finish()) return 0;
+  if (cli.finish()) return cli.exit_code();
 
   auto specs = trace_path.empty() ? synthetic_trace(jobs, seed)
                                   : read_trace(trace_path, seed);
@@ -223,7 +218,8 @@ int main(int argc, char** argv) {
       const bool latency =
           spec.deadline == serve::DeadlineClass::kInteractive;
       choices[i] = perf::choose_serving(model, job_workload(spec),
-                                        spec.skin_factor, latency, workers);
+                                        serve::job_knobs(spec), latency,
+                                        workers);
       if (inner_threads_opt == 0) {
         specs[i].inner_threads = choices[i].inner_threads;
       }

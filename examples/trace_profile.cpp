@@ -17,33 +17,21 @@
 #include "driver/mp_sim.hpp"
 #include "trace/tracer.hpp"
 #include "util/cli.hpp"
-#include "util/decomp_cli.hpp"
+#include "util/knob_cli.hpp"
 
 using namespace hdem;
 
 namespace {
 
 void profile(const char* label, const SimConfig<2>& cfg,
-             const std::vector<ParticleInit<2>>& init,
-             const DecompCliOptions& decomp, bool fused, bool overlap,
+             const std::vector<ParticleInit<2>>& init, const RunKnobs& knobs,
              std::uint64_t steps, const char* json_path) {
   trace::Tracer::global().enable(true);
-  const int bpp = static_cast<int>(decomp.bpp());
+  const int bpp = knobs.blocks_per_proc;
   const auto layout = DecompLayout<2>::make(2, bpp);
   mp::run(2, [&](mp::Comm& comm) {
-    MpSim<2>::Options opts;
-    opts.nthreads = 2;
-    opts.reduction = decomp.steal ? ReductionKind::kColored
-                                  : ReductionKind::kSelectedAtomic;
-    opts.fused = fused;
-    opts.overlap = overlap;
-    opts.steal = decomp.steal;
-    opts.rebalance = decomp.rebalance;
-    opts.rebalance_threshold = decomp.rebalance_threshold;
-    opts.shared_halo = decomp.shared_halo;
-    opts.ranks_per_node = static_cast<int>(decomp.ranks_per_node);
     MpSim<2> sim(cfg, layout, comm,
-                 ElasticSphere{cfg.stiffness, cfg.diameter}, init, opts);
+                 ElasticSphere{cfg.stiffness, cfg.diameter}, init, knobs);
     sim.run(steps);
     if (comm.rank() == 0) {
       const auto c = sim.counters();
@@ -73,21 +61,25 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.integer("n", 8000, "particles"));
   const auto steps =
       static_cast<std::uint64_t>(cli.integer("steps", 40, "iterations"));
-  const bool overlap =
+  // Two ranks of two threads; --steal selects the colored reduction.
+  RunKnobs knobs;
+  knobs.nthreads = 2;
+  knobs.overlap =
       cli.choice("overlap", "off", {"off", "on"},
                  "overlap halo swaps with core-link forces") == "on";
-  const auto decomp = declare_decomp_options(cli, {8});
-  if (cli.finish()) return 0;
+  declare_decomp_options(cli, knobs, {8});
+  declare_steal_option(cli, knobs);
+  if (cli.finish()) return cli.exit_code();
 
-  SimConfig<2> cfg;
+  SimConfig<2> cfg{knobs};
   cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(n));
   cfg.seed = 31;
   const auto init = uniform_random_particles(cfg, n);
 
-  profile("per-block hybrid", cfg, init, decomp, /*fused=*/false, overlap,
-          steps, "trace_hybrid.json");
-  profile("fused hybrid (SS11)", cfg, init, decomp, /*fused=*/true, overlap,
-          steps, nullptr);
+  profile("per-block hybrid", cfg, init, knobs, steps, "trace_hybrid.json");
+  RunKnobs fused = knobs;
+  fused.fused = true;
+  profile("fused hybrid (SS11)", cfg, init, fused, steps, nullptr);
 
   std::printf(
       "\nThe per-block scheme opens 2 parallel regions per block per\n"

@@ -3,44 +3,22 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "util/vec.hpp"
 
 namespace hdem {
 
-// HDEM_HALO_DELTA / HDEM_HALO_COALESCE let whole test suites and CI legs
-// run the delta-compressed / coalesced halo swap without touching their
-// flags (the same pattern as HDEM_SKIN and HDEM_SHARED_HALO).
-inline bool halo_delta_env_default() {
-  const char* env = std::getenv("HDEM_HALO_DELTA");
-  return env != nullptr && env[0] == '1';
-}
-
-inline bool halo_coalesce_env_default() {
-  const char* env = std::getenv("HDEM_HALO_COALESCE");
-  return env != nullptr && env[0] == '1';
-}
-
 enum class BoundaryKind : std::uint8_t {
   kPeriodic,  // periodic in every dimension
   kWalls,     // reflecting hard walls in every dimension
 };
 
-// Parameters of the paper's test system: identical elastic spheres of
-// diameter d in an L^D box, pairwise contact force requiring one square
-// root and one inverse, cutoff rc = cutoff_factor * rmax with rmax = d.
-template <int D>
-struct SimConfig {
-  Vec<D> box{1.0};                 // domain is [0, box[d]) per dimension
-  BoundaryKind bc = BoundaryKind::kPeriodic;
-  double diameter = 0.05;          // sphere diameter d (= rmax, contact only)
-  double stiffness = 100.0;        // contact spring constant k
-  double cutoff_factor = 1.5;      // rc / rmax; paper uses 1.5 and 2.0
-  double dt = 5e-4;                // time step (units: m = 1)
-  double velocity_scale = 0.05;    // initial random speed scale
-  Vec<D> gravity{};                // uniform external acceleration
+// The run knobs a SimConfig carries: how the link list is built, reused
+// and shipped between ranks, as opposed to the physics SimConfig adds.
+// D-free, so the knob set (driver/knobs.hpp) can hold them.  Every
+// default is a constant.
+struct ListKnobs {
   bool reorder = true;             // cell-order particle reordering at rebuild
   // Rebuild trigger: measure the true maximum displacement since the last
   // rebuild each step (exact — positions move freely between rebuilds, so
@@ -66,12 +44,29 @@ struct SimConfig {
   // changed Vec<D> values; receivers patch their halo regions in place.
   // Bitwise-exact reconstruction, so trajectories are bit-identical with
   // delta on or off (DESIGN §3.8).
-  bool halo_delta = halo_delta_env_default();
+  bool halo_delta = false;
   // Coalesce all wire halo sides sharing a (neighbour rank, dim,
   // direction) into one framed message — cuts the per-message latency
   // term when blocks-per-proc > 1.  Independent of halo_delta (frames
   // carry eager payloads when delta is off).
-  bool halo_coalesce = halo_coalesce_env_default();
+  bool halo_coalesce = false;
+
+  bool operator==(const ListKnobs&) const = default;
+};
+
+// Parameters of the paper's test system: identical elastic spheres of
+// diameter d in an L^D box, pairwise contact force requiring one square
+// root and one inverse, cutoff rc = cutoff_factor * rmax with rmax = d.
+template <int D>
+struct SimConfig : ListKnobs {
+  Vec<D> box{1.0};                 // domain is [0, box[d]) per dimension
+  BoundaryKind bc = BoundaryKind::kPeriodic;
+  double diameter = 0.05;          // sphere diameter d (= rmax, contact only)
+  double stiffness = 100.0;        // contact spring constant k
+  double cutoff_factor = 1.5;      // rc / rmax; paper uses 1.5 and 2.0
+  double dt = 5e-4;                // time step (units: m = 1)
+  double velocity_scale = 0.05;    // initial random speed scale
+  Vec<D> gravity{};                // uniform external acceleration
   std::uint64_t seed = 12345;      // RNG seed for initial conditions
 
   double rmax() const { return diameter; }

@@ -41,6 +41,7 @@
 #include "decomp/layout.hpp"
 #include "decomp/migrate.hpp"
 #include "decomp/rebalance.hpp"
+#include "driver/knobs.hpp"
 #include "mp/comm.hpp"
 #include "mp/nodemap.hpp"
 #include "reduction/force_pass.hpp"
@@ -55,45 +56,7 @@ namespace hdem {
 template <int D, class Model = ElasticSphere>
 class MpSim {
  public:
-  struct Options {
-    int nthreads = 1;  // > 1 selects the hybrid scheme
-    ReductionKind reduction = ReductionKind::kSelectedAtomic;
-    // The paper's Section 11 proposal: "a single parallel loop over all
-    // links in all blocks rather than one loop per block", reducing both
-    // the per-block fork/join overhead and the inter-thread dependencies
-    // (a thread's contiguous global link range covers whole blocks most of
-    // the time).  Only meaningful for the hybrid scheme with an
-    // atomic-family reduction.
-    bool fused = false;
-    // Overlap halo communication with core-link forces: initiate every
-    // block's swap, compute core links (which never read halo data) while
-    // messages are in flight, complete the swap, then compute halo links.
-    // Trajectories are bit-identical to the synchronous schedule — within
-    // each block core links are accumulated before halo links either way.
-    bool overlap = false;
-    // Deterministic work stealing over color-plan chunks (colored
-    // reduction only): threads claim chunks from an atomic cursor instead
-    // of walking static runs.  Conflict-free under the color plan, so
-    // trajectories stay bit-identical at any team size.
-    bool steal = false;
-    // Adaptive cost-driven block remapping: accumulate measured per-block
-    // step cost, exchange the cost vector at list rebuilds, and adopt a
-    // deterministic LPT assignment table when the measured imbalance
-    // exceeds rebalance_threshold (max/mean rank load).  Blocks migrate
-    // whole; halo plans are rebuilt against the new table; trajectories
-    // are unaffected (per-block physics is ownership-independent).
-    bool rebalance = false;
-    double rebalance_threshold = 1.15;
-    // Zero-copy intra-node halo exchange: edges between ranks of the same
-    // node (ranks_per_node consecutive ranks per node; 0 = every rank on
-    // one node) gather halo positions straight out of the neighbour's
-    // position array through generation-fenced shared windows instead of
-    // messages.  Trajectories are bit-identical to the wire path.  The
-    // defaults read HDEM_SHARED_HALO / HDEM_RANKS_PER_NODE so whole test
-    // suites can run under a different halo transport unmodified.
-    bool shared_halo = mp::shared_halo_env_default();
-    int ranks_per_node = mp::ranks_per_node_env_default();
-  };
+  using Options = MpOptions;  // driver/knobs.hpp
 
   MpSim(const SimConfig<D>& cfg, const DecompLayout<D>& layout,
         mp::Comm& comm, const Model& model,
@@ -116,29 +79,7 @@ class MpSim {
     if (layout_.nprocs() != comm.size()) {
       throw std::invalid_argument("MpSim: layout rank count != comm size");
     }
-    if (opts_.nthreads < 1) {
-      throw std::invalid_argument("MpSim: nthreads < 1");
-    }
-    if (opts_.fused && opts_.nthreads < 2) {
-      throw std::invalid_argument("MpSim: fused mode requires a thread team");
-    }
-    if (opts_.fused && opts_.reduction != ReductionKind::kAtomicAll &&
-        opts_.reduction != ReductionKind::kSelectedAtomic &&
-        opts_.reduction != ReductionKind::kNoLock &&
-        opts_.reduction != ReductionKind::kColored) {
-      throw std::invalid_argument(
-          "MpSim: fused mode supports the atomic-family and colored "
-          "reductions only (private-array strategies need per-block merge "
-          "phases)");
-    }
-    if (opts_.steal && opts_.reduction != ReductionKind::kColored) {
-      throw std::invalid_argument(
-          "MpSim: work stealing requires the colored reduction (chunk "
-          "claiming is only conflict-free under the color plan)");
-    }
-    if (opts_.rebalance_threshold < 1.0) {
-      throw std::invalid_argument("MpSim: rebalance threshold below 1.0");
-    }
+    opts_.validate();
     team_ = std::make_unique<smp::ThreadTeam>(opts_.nthreads);
     if (opts_.shared_halo) {
       halo_.enable_shared_windows(mp::NodeMap(opts_.ranks_per_node));

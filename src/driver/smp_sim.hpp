@@ -34,6 +34,7 @@
 #include "core/link_list.hpp"
 #include "core/particle_store.hpp"
 #include "core/step_loop.hpp"
+#include "driver/knobs.hpp"
 #include "reduction/force_pass.hpp"
 #include "smp/thread_team.hpp"
 #include "trace/tracer.hpp"
@@ -55,19 +56,12 @@ class SmpSim {
       : cfg_(cfg),
         model_(model),
         boundary_(cfg.bc, cfg.box),
-        team_(std::make_unique<smp::ThreadTeam>(nthreads)),
+        team_(make_team(nthreads, reduction, steal)),
         reduction_kind_(reduction),
         steal_(steal),
         acc_(make_accumulator<D>(reduction)) {
     cfg_.validate();
-    if (steal) {
-      if (reduction != ReductionKind::kColored) {
-        throw std::invalid_argument(
-            "SmpSim: work stealing requires the colored reduction (chunk "
-            "claiming is only conflict-free under the color plan)");
-      }
-      std::get<ColoredAccumulator<D>>(acc_).set_steal(true);
-    }
+    if (steal) std::get<ColoredAccumulator<D>>(acc_).set_steal(true);
     store_.reserve(particles.size());
     for (std::size_t i = 0; i < particles.size(); ++i) {
       store_.push_back(particles[i].pos, particles[i].vel,
@@ -244,6 +238,15 @@ class SmpSim {
   }
 
  private:
+  // The team, once MpOptions has checked the threading knobs.
+  static std::unique_ptr<smp::ThreadTeam> make_team(int nthreads,
+                                                    ReductionKind reduction,
+                                                    bool steal) {
+    MpOptions{.nthreads = nthreads, .reduction = reduction, .steal = steal}
+        .validate();
+    return std::make_unique<smp::ThreadTeam>(nthreads);
+  }
+
   // At T = 1 the colored pass is the plain kernel over the list in storage
   // order: the color plan's pair-swapped chunk order already gives every
   // particle the phases' accumulation order, so the bits are the same and

@@ -10,8 +10,6 @@
 // shared-window path (same node) and the wire path (different nodes).
 #pragma once
 
-#include <cstdlib>
-
 namespace hdem::mp {
 
 class NodeMap {
@@ -28,19 +26,5 @@ class NodeMap {
  private:
   int rpn_ = 0;
 };
-
-// Environment defaults, so whole test suites can run under a different
-// halo transport without per-test plumbing (the CI ranks-per-node matrix):
-//   HDEM_SHARED_HALO=1     drivers default to the shared-window halo path
-//   HDEM_RANKS_PER_NODE=N  default node packing (0 = all ranks one node)
-inline bool shared_halo_env_default() {
-  const char* v = std::getenv("HDEM_SHARED_HALO");
-  return v != nullptr && v[0] == '1';
-}
-
-inline int ranks_per_node_env_default() {
-  const char* v = std::getenv("HDEM_RANKS_PER_NODE");
-  return v != nullptr ? std::atoi(v) : 0;
-}
 
 }  // namespace hdem::mp

@@ -334,7 +334,7 @@ double FittedModel::rebuilds_per_step(const TuneWorkload& w,
 }
 
 std::array<double, FittedModel::kFeatureCount> FittedModel::features(
-    int phase, const TuneWorkload& w, const TuneConfig& c,
+    int phase, const TuneWorkload& w, const RunKnobs& c,
     double rebuild_rate) {
   const double P = static_cast<double>(std::max(c.nprocs, 1));
   const double T = static_cast<double>(std::max(c.nthreads, 1));
@@ -354,7 +354,7 @@ std::array<double, FittedModel::kFeatureCount> FittedModel::features(
   // templates widen by (1+skin).  Without these factors the fit would
   // average force cost across skin values and conclude a skin only
   // removes rebuilds — and the tuner would always pick the widest one.
-  const double skin = std::max(c.skin, 0.0);
+  const double skin = std::max(c.skin_factor, 0.0);
   const double link_gain = std::pow(1.0 + skin, static_cast<double>(w.D));
   const double slab_gain = 1.0 + skin;
   const bool decomposed = c.nprocs > 1;
@@ -403,8 +403,8 @@ std::array<double, FittedModel::kFeatureCount> FittedModel::features(
 }
 
 FittedModel::Phases FittedModel::predict(const TuneWorkload& w,
-                                         const TuneConfig& c) const {
-  const double rho = rebuilds_per_step(w, c.skin);
+                                         const RunKnobs& c) const {
+  const double rho = rebuilds_per_step(w, c.skin_factor);
   Phases out;
   for (int p = 0; p < kPhaseCount; ++p) {
     const auto f = features(p, w, c, rho);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/counters.hpp"
+#include "driver/knobs.hpp"
 #include "perf/machine.hpp"
 
 namespace hdem::perf {
@@ -172,23 +173,6 @@ struct TuneWorkload {
   double cluster_fraction = 1.0;     // clustered: occupied box fraction
 };
 
-// Candidate knob assignment the tuner ranks: the full effective SimConfig
-// knob set of a run, so every emitted measurement row is reproducible from
-// its own fields.
-struct TuneConfig {
-  int nprocs = 1;
-  int nthreads = 1;
-  int blocks_per_proc = 1;
-  double skin = 0.0;
-  double skin_cap = -1.0;
-  bool halo_delta = false;
-  bool halo_coalesce = false;
-  bool overlap = false;
-  bool steal = false;
-  bool rebalance = false;
-  bool reorder = true;
-};
-
 class FittedModel {
  public:
   enum Phase : int {
@@ -244,10 +228,11 @@ class FittedModel {
   // prediction so the two can never drift apart.
   static std::array<double, kFeatureCount> features(int phase,
                                                     const TuneWorkload& w,
-                                                    const TuneConfig& c,
+                                                    const RunKnobs& c,
                                                     double rebuild_rate);
 
-  Phases predict(const TuneWorkload& w, const TuneConfig& c) const;
+  // Predicted phases of a candidate knob set on a workload.
+  Phases predict(const TuneWorkload& w, const RunKnobs& c) const;
 };
 
 // Convenience: speedup/efficiency bookkeeping used by the figure benches.

@@ -17,6 +17,7 @@
 #include "core/config.hpp"
 #include "core/init.hpp"
 #include "decomp/layout.hpp"
+#include "driver/knobs.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
 #include "mp/comm.hpp"
@@ -27,38 +28,17 @@
 
 namespace hdem::perf {
 
-struct MeasureSpec {
+// The run knobs (driver/knobs.hpp) plus the workload and the window.
+struct MeasureSpec : RunKnobs {
   // kSerial is the serial driver: kSmp on a one-member team with the
-  // colored reduction, whatever nthreads, reduction and steal say.
+  // colored reduction, whatever nthreads, reduction and steal say.  kMp
+  // runs MpSim at T = 1, whatever nthreads says.
   enum class Mode { kSerial, kSmp, kMp, kHybrid };
 
   int D = 3;  // 2 or 3
   std::uint64_t n = 100'000;
   double rc_factor = 1.5;
-  bool reorder = true;
   Mode mode = Mode::kSerial;
-  int nprocs = 1;
-  int nthreads = 1;
-  int blocks_per_proc = 1;
-  ReductionKind reduction = ReductionKind::kSelectedAtomic;
-  bool fused = false;  // hybrid only: Section 11 fused link loop
-  bool overlap = false;  // mp/hybrid: overlap halo swaps with core forces
-  // Deterministic work stealing over color-plan chunks (colored reduction
-  // only; smp/hybrid).
-  bool steal = false;
-  // Cost-driven adaptive block remapping at list rebuilds (mp/hybrid).
-  bool rebalance = false;
-  double rebalance_threshold = 1.15;
-  // Zero-copy intra-node halo windows (mp/hybrid); ranks_per_node sets the
-  // node granularity (0 = every rank on one node).
-  bool shared_halo = false;
-  int ranks_per_node = 0;
-  // Delta-compressed halo frames (SimConfig::halo_delta): ship only the
-  // positions that changed since the last swap, plus a change bitmask.
-  bool halo_delta = false;
-  // Coalesce wire halo sides sharing (neighbour rank, dim, direction) into
-  // one framed message (SimConfig::halo_coalesce).
-  bool halo_coalesce = false;
   // Settled-bed workload (settled_stride > 0): a contact-free lattice at
   // rest except for every settled_stride-th particle moving at
   // settled_speed, in a box widened by box_scale so the lattice spacing
@@ -67,13 +47,6 @@ struct MeasureSpec {
   std::uint64_t settled_stride = 0;
   double settled_speed = 0.25;
   double box_scale = 1.0;
-  // Verlet skin as a fraction of rc (SimConfig::skin_factor): candidate
-  // links out to rc + skin, rebuilds only when drift can close the gap.
-  double skin = 0.0;
-  // Binning capacity as a fraction of rc (SimConfig::skin_cap_factor);
-  // < 0 follows `skin`.  Pin it across a skin sweep to keep the cell
-  // geometry — and hence trajectories — identical.
-  double skin_cap = -1.0;
   // Initial speed scale (SimConfig::velocity_scale): how hot the system
   // runs, i.e. how often drift invalidates the candidate list.
   double velocity_scale = 0.05;
@@ -111,15 +84,10 @@ namespace detail {
 
 template <int D>
 SimConfig<D> benchmark_config(const MeasureSpec& spec) {
-  SimConfig<D> cfg;
+  SimConfig<D> cfg{spec};  // the ListKnobs part
   cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(spec.n) * spec.box_scale);
   cfg.diameter = 0.05;
   cfg.cutoff_factor = spec.rc_factor;
-  cfg.reorder = spec.reorder;
-  cfg.halo_delta = spec.halo_delta;
-  cfg.halo_coalesce = spec.halo_coalesce;
-  cfg.skin_factor = spec.skin;
-  cfg.skin_cap_factor = spec.skin_cap;
   cfg.velocity_scale = spec.velocity_scale;
   cfg.seed = spec.seed;
   return cfg;
@@ -179,17 +147,8 @@ MeasuredRun measure_impl(const MeasureSpec& spec) {
           static_cast<std::size_t>(p) * p, 0);
       std::vector<std::uint64_t> msgs_matrix(static_cast<std::size_t>(p) * p,
                                              0);
-      typename MpSim<D>::Options opts;
-      opts.nthreads =
-          spec.mode == MeasureSpec::Mode::kHybrid ? spec.nthreads : 1;
-      opts.reduction = spec.reduction;
-      opts.fused = spec.fused;
-      opts.overlap = spec.overlap;
-      opts.steal = spec.steal;
-      opts.rebalance = spec.rebalance;
-      opts.rebalance_threshold = spec.rebalance_threshold;
-      opts.shared_halo = spec.shared_halo;
-      opts.ranks_per_node = spec.ranks_per_node;
+      MpOptions opts = spec;
+      if (spec.mode == MeasureSpec::Mode::kMp) opts.nthreads = 1;
       mp::run(p, [&](mp::Comm& comm) {
         MpSim<D> sim(cfg, layout, comm, model, init, opts);
         for (std::uint64_t w = 0; w < spec.warmup; ++w) sim.step();

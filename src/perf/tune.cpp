@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "perf/fit.hpp"
 #include "perf/machine.hpp"
@@ -18,10 +20,10 @@ namespace hdem::perf {
 
 namespace {
 
-MeasureSpec to_measure_spec(const TuneWorkload& w, const TuneConfig& c,
+MeasureSpec to_measure_spec(const TuneWorkload& w, const RunKnobs& c,
                             std::uint64_t iterations, std::uint64_t warmup,
                             double min_seconds) {
-  MeasureSpec s;
+  MeasureSpec s{c};
   s.D = w.D;
   s.n = w.n;
   s.rc_factor = w.rc_factor;
@@ -34,17 +36,6 @@ MeasureSpec to_measure_spec(const TuneWorkload& w, const TuneConfig& c,
   } else if (w.scenario != "uniform") {
     throw std::invalid_argument("tune: unknown scenario '" + w.scenario + "'");
   }
-  s.reorder = c.reorder;
-  s.nprocs = c.nprocs;
-  s.nthreads = c.nthreads;
-  s.blocks_per_proc = c.blocks_per_proc;
-  s.skin = c.skin;
-  s.skin_cap = c.skin_cap;
-  s.halo_delta = c.halo_delta;
-  s.halo_coalesce = c.halo_coalesce;
-  s.overlap = c.overlap;
-  s.steal = c.steal;
-  s.rebalance = c.rebalance;
   if (c.nprocs > 1) {
     s.mode = c.nthreads > 1 ? MeasureSpec::Mode::kHybrid
                             : MeasureSpec::Mode::kMp;
@@ -52,9 +43,6 @@ MeasureSpec to_measure_spec(const TuneWorkload& w, const TuneConfig& c,
     s.mode = c.nthreads > 1 ? MeasureSpec::Mode::kSmp
                             : MeasureSpec::Mode::kSerial;
   }
-  // The serving layer's production reduction: bit-identical at any team
-  // size, and the only one the stealing path supports.
-  s.reduction = ReductionKind::kColored;
   s.warmup = warmup;
   s.iterations = iterations;
   s.min_seconds = min_seconds;
@@ -86,7 +74,7 @@ double phase_total(const PhaseTotals& t, trace::Phase p) {
 
 }  // namespace
 
-TuneRow measure_tune_point(const TuneWorkload& w, const TuneConfig& c,
+TuneRow measure_tune_point(const TuneWorkload& w, const RunKnobs& c,
                            std::uint64_t iterations, std::uint64_t warmup,
                            double min_seconds, int reps) {
   auto& tracer = trace::Tracer::global();
@@ -151,7 +139,7 @@ TuneRow measure_tune_point(const TuneWorkload& w, const TuneConfig& c,
 }
 
 std::vector<TuneRow> run_sweep(const SweepSpec& spec) {
-  std::vector<TuneConfig> grid;
+  std::vector<RunKnobs> grid;
   for (const int p : spec.procs) {
     for (const int t : spec.threads) {
       if (spec.max_cpus > 0 && p * t > spec.max_cpus) continue;
@@ -160,17 +148,11 @@ std::vector<TuneRow> run_sweep(const SweepSpec& spec) {
         // undecomposed point once per B would just duplicate rows.
         if (p == 1 && b != spec.blocks.front()) continue;
         for (const double skin : spec.skins) {
-          TuneConfig c;
+          RunKnobs c = spec.fixed;
           c.nprocs = p;
           c.nthreads = t;
           c.blocks_per_proc = p == 1 ? 1 : b;
-          c.skin = skin;
-          c.halo_delta = spec.halo_delta;
-          c.halo_coalesce = spec.halo_coalesce;
-          c.overlap = spec.overlap;
-          c.steal = spec.steal;
-          c.rebalance = spec.rebalance;
-          c.reorder = spec.reorder;
+          c.skin_factor = skin;
           grid.push_back(c);
         }
       }
@@ -196,46 +178,60 @@ std::vector<TuneRow> run_sweep(const SweepSpec& spec) {
 
 namespace {
 
-const char* const kColumns[] = {
-    "scenario",   "D",          "n",           "rc",         "velocity",
-    "stride",     "cluster",    "P",           "T",          "B",
-    "skin",       "skin_cap",   "halo_delta",  "halo_coalesce",
-    "overlap",    "steal",      "rebalance",   "reorder",    "simd",
-    "iters",      "rebuild_rate", "imbalance", "force_s",    "rebuild_s",
-    "halo_wire_s", "halo_shared_s", "halo_wait_s", "migrate_s",
-    "rebalance_s", "other_s",  "step_s",
+// The measured columns after the workload and knob columns, in file order.
+struct MeasuredColumn {
+  const char* name;
+  double TuneRow::*field;
 };
-constexpr std::size_t kColumnCount = sizeof(kColumns) / sizeof(kColumns[0]);
+constexpr MeasuredColumn kMeasuredColumns[] = {
+    {"rebuild_rate", &TuneRow::rebuilds_per_step},
+    {"imbalance", &TuneRow::imbalance},
+    {"force_s", &TuneRow::force_s},
+    {"rebuild_s", &TuneRow::rebuild_s},
+    {"halo_wire_s", &TuneRow::halo_wire_s},
+    {"halo_shared_s", &TuneRow::halo_shared_s},
+    {"halo_wait_s", &TuneRow::halo_wait_s},
+    {"migrate_s", &TuneRow::migrate_s},
+    {"rebalance_s", &TuneRow::rebalance_s},
+    {"other_s", &TuneRow::other_s},
+    {"step_s", &TuneRow::step_seconds},
+};
 
 }  // namespace
 
 std::string format_tune_rows(std::span<const TuneRow> rows) {
   std::ostringstream os;
   os.precision(9);
-  os << "# hdem-tune v1\n";
+  os << "# hdem-tune v2\n";
   os << "# " << machine_report(generic_host()) << "\n";
   os << "# per-phase *_s columns: seconds per step, mean over ranks; step_s:"
         " slowest rank's wall per step\n";
-  os << "# columns:";
-  for (const char* c : kColumns) os << ' ' << c;
+  os << "# columns: scenario D n rc velocity stride cluster";
+  for_each_knob(RunKnobs{}, [&](const char* name, const auto&) {
+    os << ' ' << name;
+  });
+  os << " simd iters";
+  for (const MeasuredColumn& c : kMeasuredColumns) os << ' ' << c.name;
   os << '\n';
   for (const TuneRow& r : rows) {
     os << r.workload.scenario << ' ' << r.workload.D << ' ' << r.workload.n
        << ' ' << r.workload.rc_factor << ' ' << r.workload.velocity_scale
        << ' ' << r.workload.settled_stride << ' '
-       << r.workload.cluster_fraction << ' ' << r.config.nprocs << ' '
-       << r.config.nthreads << ' ' << r.config.blocks_per_proc << ' '
-       << r.config.skin << ' ' << r.config.skin_cap << ' '
-       << (r.config.halo_delta ? 1 : 0) << ' '
-       << (r.config.halo_coalesce ? 1 : 0) << ' '
-       << (r.config.overlap ? 1 : 0) << ' ' << (r.config.steal ? 1 : 0)
-       << ' ' << (r.config.rebalance ? 1 : 0) << ' '
-       << (r.config.reorder ? 1 : 0) << ' ' << r.simd_width << ' '
-       << r.iterations << ' ' << r.rebuilds_per_step << ' ' << r.imbalance
-       << ' ' << r.force_s << ' ' << r.rebuild_s << ' ' << r.halo_wire_s
-       << ' ' << r.halo_shared_s << ' ' << r.halo_wait_s << ' '
-       << r.migrate_s << ' ' << r.rebalance_s << ' ' << r.other_s << ' '
-       << r.step_seconds << '\n';
+       << r.workload.cluster_fraction;
+    for_each_knob(r.config, [&](const char*, const auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      os << ' ';
+      if constexpr (std::is_same_v<T, bool>) {
+        os << (v ? 1 : 0);
+      } else if constexpr (std::is_same_v<T, ReductionKind>) {
+        os << to_string(v);
+      } else {
+        os << v;
+      }
+    });
+    os << ' ' << r.simd_width << ' ' << r.iterations;
+    for (const MeasuredColumn& c : kMeasuredColumns) os << ' ' << r.*c.field;
+    os << '\n';
   }
   return os.str();
 }
@@ -289,30 +285,22 @@ std::vector<TuneRow> parse_tune_rows(const std::string& text) {
     r.workload.velocity_scale = num("velocity");
     r.workload.settled_stride = static_cast<std::uint64_t>(num("stride"));
     r.workload.cluster_fraction = num("cluster");
-    r.config.nprocs = static_cast<int>(num("P"));
-    r.config.nthreads = static_cast<int>(num("T"));
-    r.config.blocks_per_proc = static_cast<int>(num("B"));
-    r.config.skin = num("skin");
-    r.config.skin_cap = num("skin_cap");
-    r.config.halo_delta = num("halo_delta") != 0.0;
-    r.config.halo_coalesce = num("halo_coalesce") != 0.0;
-    r.config.overlap = num("overlap") != 0.0;
-    r.config.steal = num("steal") != 0.0;
-    r.config.rebalance = num("rebalance") != 0.0;
-    r.config.reorder = num("reorder") != 0.0;
+    for_each_knob(r.config, [&](const char* name, auto& v) {
+      using T = std::decay_t<decltype(v)>;
+      if constexpr (std::is_same_v<T, ReductionKind>) {
+        if (!reduction_from_string(field(name), v)) {
+          throw std::invalid_argument(
+              "parse_tune_rows: unknown reduction '" + field(name) + "'");
+        }
+      } else if constexpr (std::is_same_v<T, bool>) {
+        v = num(name) != 0.0;
+      } else {
+        v = static_cast<T>(num(name));
+      }
+    });
     r.simd_width = static_cast<int>(num("simd"));
     r.iterations = static_cast<std::uint64_t>(num("iters"));
-    r.rebuilds_per_step = num("rebuild_rate");
-    r.imbalance = num("imbalance");
-    r.force_s = num("force_s");
-    r.rebuild_s = num("rebuild_s");
-    r.halo_wire_s = num("halo_wire_s");
-    r.halo_shared_s = num("halo_shared_s");
-    r.halo_wait_s = num("halo_wait_s");
-    r.migrate_s = num("migrate_s");
-    r.rebalance_s = num("rebalance_s");
-    r.other_s = num("other_s");
-    r.step_seconds = num("step_s");
+    for (const MeasuredColumn& c : kMeasuredColumns) r.*c.field = num(c.name);
     rows.push_back(std::move(r));
   }
   return rows;
@@ -340,6 +328,35 @@ std::vector<TuneRow> load_tune_rows(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return parse_tune_rows(os.str());
+}
+
+std::vector<TuneRow> load_or_measure_tune_rows(
+    const std::string& path, const std::string& sweep,
+    const std::function<std::vector<TuneRow>()>& measure) {
+  if (!std::filesystem::exists(path)) {
+    std::printf("auto: no tune file at %s; measuring a %s sweep...\n",
+                path.c_str(), sweep.c_str());
+  } else {
+    try {
+      auto rows = load_tune_rows(path);
+      std::printf("auto: fitting scaling model from %s\n", path.c_str());
+      return rows;
+    } catch (const std::logic_error& e) {  // a parse error
+      std::printf("auto: cannot use %s (%s); measuring a %s sweep...\n",
+                  path.c_str(), e.what(), sweep.c_str());
+    }
+  }
+  auto rows = measure();
+  const std::filesystem::path p(path);
+  if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());
+  std::ofstream out(p);
+  if (!out) {
+    throw std::runtime_error("load_or_measure_tune_rows: cannot open " + path);
+  }
+  out << format_tune_rows(rows);
+  std::printf("auto: saved %zu measurement rows to %s\n", rows.size(),
+              path.c_str());
+  return rows;
 }
 
 // --- fitting ---------------------------------------------------------------
@@ -370,13 +387,14 @@ FittedModel fit_model(std::span<const TuneRow> rows) {
     FittedModel::ClassRates* entry = nullptr;
     for (auto& c : m.rates) {
       if (c.scenario == r.workload.scenario &&
-          std::abs(c.skin - r.config.skin) < 1e-12) {
+          std::abs(c.skin - r.config.skin_factor) < 1e-12) {
         entry = &c;
         break;
       }
     }
     if (entry == nullptr) {
-      m.rates.push_back({r.workload.scenario, r.config.skin, 0.0, 0.0});
+      m.rates.push_back(
+          {r.workload.scenario, r.config.skin_factor, 0.0, 0.0});
       entry = &m.rates.back();
     }
     entry->rebuilds_per_step += r.rebuilds_per_step;
@@ -386,7 +404,7 @@ FittedModel fit_model(std::span<const TuneRow> rows) {
     std::size_t count = 0;
     for (const TuneRow& r : rows) {
       if (c.scenario == r.workload.scenario &&
-          std::abs(c.skin - r.config.skin) < 1e-12) {
+          std::abs(c.skin - r.config.skin_factor) < 1e-12) {
         ++count;
       }
     }
@@ -428,10 +446,10 @@ FittedModel fit_model(std::span<const TuneRow> rows) {
 
 std::vector<RankedConfig> predict_ranked(
     const FittedModel& model, const TuneWorkload& w,
-    std::span<const TuneConfig> candidates) {
+    std::span<const RunKnobs> candidates) {
   std::vector<RankedConfig> out;
   out.reserve(candidates.size());
-  for (const TuneConfig& c : candidates) {
+  for (const RunKnobs& c : candidates) {
     RankedConfig rc;
     rc.config = c;
     rc.predicted = model.predict(w, c);
@@ -454,16 +472,15 @@ std::vector<RankedConfig> predict_ranked(
 }
 
 ServingChoice choose_serving(const FittedModel& model, const TuneWorkload& w,
-                             double skin, bool latency_sensitive,
+                             const RunKnobs& job, bool latency_sensitive,
                              int max_threads,
                              double target_quantum_seconds) {
   ServingChoice choice;
   double best_score = 0.0;
   bool have = false;
   for (int t = 1; t <= std::max(max_threads, 1); ++t) {
-    TuneConfig c;
+    RunKnobs c = job;
     c.nthreads = t;
-    c.skin = skin;
     const double step = model.predict(w, c).total();
     // Latency classes buy the fastest step; batch classes buy the
     // cheapest CPU-seconds, so a thread that speeds nothing up is left to

@@ -20,13 +20,13 @@
 //
 // Tune file format (plain text, '#' comments):
 //
-//     # hdem-tune v1
+//     # hdem-tune v2
 //     # <machine_report of the measuring host>
 //     # columns: <space-separated column names>
 //     <one row per line, tokens in column order>
 //
-// Every row carries its own effective knobs (skin, halo delta/coalesce,
-// overlap, steal, rebalance, reorder, ...), so the header records only
+// Every row carries every run knob (one column per RunKnobs field,
+// named by for_each_knob in driver/knobs.hpp), so the header records only
 // the host.
 //
 // The "# columns:" header is authoritative: rows are parsed by column
@@ -34,10 +34,12 @@
 // missing a required column fails loudly.  All *_s columns are seconds
 // per step averaged over ranks; step_s is the slowest rank's wall clock
 // per step (their difference, with the named phases, is scheduling slack
-// recorded in other_s).  scenario is a bare token; booleans are 0/1.
+// recorded in other_s).  scenario is a bare token, reduction a strategy
+// name (reduction/kind.hpp); booleans are 0/1.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,7 +51,7 @@ namespace hdem::perf {
 // One measured grid point.
 struct TuneRow {
   TuneWorkload workload;
-  TuneConfig config;  // the full effective knob set of the run
+  RunKnobs config;  // the full effective knob set of the run
   int simd_width = 1;
   std::uint64_t iterations = 0;
   double step_seconds = 0.0;  // wall per step, slowest rank
@@ -83,13 +85,10 @@ struct SweepSpec {
   std::vector<int> threads{1, 2};
   std::vector<int> blocks{1, 2};
   std::vector<double> skins{0.0, 0.3};
-  // Fixed knobs applied to every grid point.
-  bool halo_delta = false;
-  bool halo_coalesce = false;
-  bool overlap = false;
-  bool steal = false;
-  bool rebalance = false;
-  bool reorder = true;
+  // Knobs of every grid point, which sets P, T, B and the skin.  The
+  // reduction is the serving layer's production one: bit-identical at any
+  // team size, and the only one the stealing path supports.
+  RunKnobs fixed{{}, {.reduction = ReductionKind::kColored}};
   std::uint64_t iterations = 8;
   std::uint64_t warmup = 2;
   // Minimum wall-clock per measured window (doubling re-runs below it).
@@ -104,7 +103,7 @@ struct SweepSpec {
 // Measure one grid point: per-phase times come from the global tracer
 // (enabled for the duration, restored afterwards); the window re-runs
 // with doubled iterations until it spans min_seconds.
-TuneRow measure_tune_point(const TuneWorkload& w, const TuneConfig& c,
+TuneRow measure_tune_point(const TuneWorkload& w, const RunKnobs& c,
                            std::uint64_t iterations, std::uint64_t warmup,
                            double min_seconds, int reps);
 
@@ -119,6 +118,14 @@ std::string save_tune_rows(const std::string& name,
                            std::span<const TuneRow> rows);
 std::vector<TuneRow> load_tune_rows(const std::string& path);
 
+// The closed loop behind --auto: the rows of the tune file at `path`, or,
+// when it is missing or does not parse (a file in an older format lacks
+// columns), the rows `measure` returns, written to `path` for the next
+// run.  Prints a progress line per stage; `sweep` names the measurement.
+std::vector<TuneRow> load_or_measure_tune_rows(
+    const std::string& path, const std::string& sweep,
+    const std::function<std::vector<TuneRow>()>& measure);
+
 // Fit the per-phase coefficients and the class-rate table from measured
 // rows.  Phases whose features are identically zero over the rows (halo on
 // a P = 1 sweep, say) keep zero coefficients; within a phase, features the
@@ -128,7 +135,7 @@ FittedModel fit_model(std::span<const TuneRow> rows);
 
 // A candidate configuration scored by the fitted model.
 struct RankedConfig {
-  TuneConfig config;
+  RunKnobs config;
   FittedModel::Phases predicted;
   double step_seconds = 0.0;  // predicted wall per step
   double cpu_seconds = 0.0;   // predicted work: step_seconds * P * T
@@ -138,11 +145,11 @@ struct RankedConfig {
 // to the cheaper CPU-seconds config).
 std::vector<RankedConfig> predict_ranked(const FittedModel& model,
                                          const TuneWorkload& w,
-                                         std::span<const TuneConfig> candidates);
+                                         std::span<const RunKnobs> candidates);
 
 // The serving layer's admission decision for one job class: how many
-// inner threads the job's driver should use and how many steps one
-// scheduling quantum should cover.  Latency-sensitive classes minimise
+// inner threads the job's driver (run with the job's knobs) should use and
+// how many steps one scheduling quantum should cover.  Latency-sensitive classes minimise
 // predicted step time; batch classes minimise predicted CPU-seconds (a
 // thread that buys no speedup is given back to other jobs).  The quantum
 // targets target_quantum_seconds of predicted work, clamped to [8, 256].
@@ -153,7 +160,7 @@ struct ServingChoice {
 };
 
 ServingChoice choose_serving(const FittedModel& model, const TuneWorkload& w,
-                             double skin, bool latency_sensitive,
+                             const RunKnobs& job, bool latency_sensitive,
                              int max_threads,
                              double target_quantum_seconds = 0.004);
 

@@ -37,58 +37,16 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
-#include <string_view>
 #include <vector>
 
 #include "core/counters.hpp"
 #include "core/link_list.hpp"
 #include "core/particle_store.hpp"
+#include "reduction/kind.hpp"
 #include "smp/thread_team.hpp"
 #include "util/vec.hpp"
 
 namespace hdem {
-
-enum class ReductionKind : std::uint8_t {
-  kAtomicAll,
-  kSelectedAtomic,
-  kCritical,
-  kStripe,
-  kTranspose,
-  kNoLock,
-  kColored,
-};
-
-inline constexpr std::array<ReductionKind, 7> kAllReductionKinds = {
-    ReductionKind::kAtomicAll, ReductionKind::kSelectedAtomic,
-    ReductionKind::kCritical,  ReductionKind::kStripe,
-    ReductionKind::kTranspose, ReductionKind::kNoLock,
-    ReductionKind::kColored,
-};
-
-inline const char* to_string(ReductionKind k) {
-  switch (k) {
-    case ReductionKind::kAtomicAll: return "atomic";
-    case ReductionKind::kSelectedAtomic: return "selected-atomic";
-    case ReductionKind::kCritical: return "critical";
-    case ReductionKind::kStripe: return "stripe";
-    case ReductionKind::kTranspose: return "transpose";
-    case ReductionKind::kNoLock: return "nolock";
-    case ReductionKind::kColored: return "colored";
-  }
-  return "?";
-}
-
-// Parse a strategy name as printed by to_string.  Returns false (leaving
-// `out` untouched) for unknown names.
-inline bool reduction_from_string(std::string_view name, ReductionKind& out) {
-  for (const ReductionKind k : kAllReductionKinds) {
-    if (name == to_string(k)) {
-      out = k;
-      return true;
-    }
-  }
-  return false;
-}
 
 namespace detail {
 // Per-thread tallies padded to a cache line to avoid false sharing.

@@ -22,6 +22,7 @@
 #include "core/counters.hpp"
 #include "core/init.hpp"
 #include "core/step_loop.hpp"
+#include "driver/knobs.hpp"
 #include "driver/smp_sim.hpp"
 #include "io/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -106,19 +107,25 @@ inline std::uint64_t job_seed(std::uint64_t seed, std::uint64_t job_id) {
   return Rng(seed, job_id).next_u64();
 }
 
+// The run knobs of a job: its skin, and its inner team on the
+// undecomposed driver with the colored reduction.  Admission
+// (perf::choose_serving) ranks inner-team sizes from these.
+inline RunKnobs job_knobs(const JobSpec& spec) {
+  RunKnobs k;
+  k.skin_factor = spec.skin_factor;
+  k.nthreads = spec.inner_threads;
+  k.reduction = ReductionKind::kColored;
+  return k;
+}
+
 namespace detail {
 
 template <int D>
 SimConfig<D> job_config(const JobSpec& spec) {
-  SimConfig<D> cfg;
+  SimConfig<D> cfg{job_knobs(spec)};
   cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(spec.n));
   cfg.seed = job_seed(spec.seed, spec.job_id);
   cfg.velocity_scale = spec.velocity_scale;
-  cfg.skin_factor = spec.skin_factor;
-  // Jobs run undecomposed drivers; pin the wire-halo knobs off so a job's
-  // bits never depend on the HDEM_HALO_* environment of the host process.
-  cfg.halo_delta = false;
-  cfg.halo_coalesce = false;
   return cfg;
 }
 
@@ -223,11 +230,12 @@ class DriverJob : public SimJob {
 
 template <int D>
 std::unique_ptr<SimJob> make_job_d(const JobSpec& spec) {
+  const RunKnobs knobs = job_knobs(spec);
   const SimConfig<D> cfg = job_config<D>(spec);
   const auto init = job_particles<D>(cfg, spec);
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
-  auto sim = std::make_unique<SmpSim<D>>(cfg, model, init, spec.inner_threads,
-                                         ReductionKind::kColored);
+  auto sim = std::make_unique<SmpSim<D>>(cfg, model, init, knobs.nthreads,
+                                         knobs.reduction);
   return std::make_unique<DriverJob<D>>(spec, cfg, std::move(sim));
 }
 

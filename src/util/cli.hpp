@@ -1,7 +1,8 @@
 // Minimal command-line option parser for benches and examples.
 //
 // Accepts "--key=value", "--key value" and boolean "--flag" forms.  Unknown
-// options are an error so typos in benchmark sweeps fail loudly.
+// options are an error (exit status 2) so typos in benchmark sweeps fail
+// loudly.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,12 @@ class Cli {
                                          const std::string& help);
 
   // Returns true if execution should stop (--help given or an error was
-  // reported).  Prints usage/help or the error to stdout/stderr.
+  // reported).  Prints usage/help or the error to stdout/stderr.  The
+  // program then exits with exit_code(): 0 after --help, 2 after an error,
+  // so a script with a mistyped or removed flag fails instead of passing
+  // without running.
   bool finish();
+  int exit_code() const { return help_requested_ || errors_.empty() ? 0 : 2; }
 
   const std::string& program() const { return program_; }
 

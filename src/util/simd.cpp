@@ -1,7 +1,6 @@
 #include "util/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace hdem::simd {
 
@@ -36,22 +35,12 @@ bool cpu_supports_width(int w) {
 namespace {
 
 int detect_width() {
-  // HDEM_SIMD_WIDTH pins the width without a rebuild (width sweeps);
-  // values beyond what the CPU supports are clamped down, never trusted.
-  if (const char* env = std::getenv("HDEM_SIMD_WIDTH")) {
-    const int requested = std::atoi(env);
-    if (requested >= 1) {
-      int w = requested < kMaxWidth ? requested : kMaxWidth;
-      while (w > 1 && !cpu_supports_width(w)) w /= 2;
-      return w;
-    }
-  }
   int w = kMaxWidth;
   while (w > 1 && !cpu_supports_width(w)) w /= 2;
   return w;
 }
 
-// 0 = not yet detected; <0 impossible; >=1 cached/overridden width.
+// 0 = not yet detected; <0 impossible; >=1 cached/pinned width.
 std::atomic<int> g_width{0};
 
 }  // namespace

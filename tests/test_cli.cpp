@@ -93,6 +93,23 @@ TEST(Cli, HelpStopsExecution) {
   EXPECT_TRUE(cli.finish());
 }
 
+// Programs return exit_code() when finish() stops them: --help succeeds,
+// and an error fails, so a script with a mistyped or removed flag cannot
+// pass without running.
+TEST(Cli, HelpExitsZeroErrorsExitTwo) {
+  const auto stop = [](std::vector<std::string> args) {
+    Args a(std::move(args));
+    Cli cli(a.argc(), a.argv());
+    cli.integer("n", 0, "count");
+    EXPECT_TRUE(cli.finish());
+    return cli.exit_code();
+  };
+  EXPECT_EQ(stop({"--help"}), 0);
+  EXPECT_EQ(stop({"--no-such-flag"}), 2);
+  EXPECT_EQ(stop({"--n=abc"}), 2);
+  EXPECT_EQ(stop({"stray"}), 2);
+}
+
 TEST(Cli, NegativeNumbersAsValues) {
   Args a({"--x=-2.5", "--n=-3"});
   Cli cli(a.argc(), a.argv());

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <initializer_list>
+#include <filesystem>
+#include <fstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "ci_knobs.hpp"
 #include "perf/measure.hpp"
 #include "perf/tune.hpp"
 
@@ -167,7 +167,7 @@ std::vector<TuneRow> synthetic_rows(const FittedModel& truth) {
           r.config.nprocs = p;
           r.config.nthreads = t;
           r.config.blocks_per_proc = b;
-          r.config.skin = skin;
+          r.config.skin_factor = skin;
           // Constant per (scenario, skin) class, so the fitted class-rate
           // table reproduces each row's own rate exactly.
           r.rebuilds_per_step = skin == 0.0 ? 1.0 : 0.25;
@@ -206,7 +206,8 @@ TEST(FitModel, RecoversSyntheticModel) {
     const auto pred = fitted.predict(r.workload, r.config);
     EXPECT_NEAR(pred.total() / r.step_seconds, 1.0, 1e-3)
         << "P=" << r.config.nprocs << " T=" << r.config.nthreads
-        << " B=" << r.config.blocks_per_proc << " skin=" << r.config.skin;
+        << " B=" << r.config.blocks_per_proc
+        << " skin=" << r.config.skin_factor;
     EXPECT_NEAR(pred[FittedModel::kForce] / r.force_s, 1.0, 1e-3);
   }
 }
@@ -251,12 +252,26 @@ TEST(TuneFile, RoundTrip) {
   r.workload.n = 1234;
   r.workload.settled_stride = 8;
   r.workload.velocity_scale = 0.25;
-  r.config.nprocs = 4;
-  r.config.nthreads = 2;
-  r.config.blocks_per_proc = 3;
-  r.config.skin = 0.3;
-  r.config.halo_delta = true;
-  r.config.steal = true;
+  // Every knob off its default, so a knob missing from for_each_knob
+  // reads back as its default and fails the equality below.
+  RunKnobs& k = r.config;
+  k.nprocs = 4;
+  k.nthreads = 2;
+  k.blocks_per_proc = 3;
+  k.reduction = ReductionKind::kColored;
+  k.fused = true;
+  k.overlap = true;
+  k.steal = true;
+  k.rebalance = true;
+  k.rebalance_threshold = 1.25;
+  k.shared_halo = true;
+  k.ranks_per_node = 2;
+  k.skin_factor = 0.3;
+  k.skin_cap_factor = 0.5;
+  k.halo_delta = true;
+  k.halo_coalesce = true;
+  k.reorder = false;
+  k.drift_measured = false;
   r.simd_width = 4;
   r.iterations = 16;
   r.step_seconds = 1.25e-3;
@@ -273,7 +288,7 @@ TEST(TuneFile, RoundTrip) {
   rows.push_back(r);
 
   const std::string text = format_tune_rows(rows);
-  EXPECT_NE(text.find("# hdem-tune v1"), std::string::npos);
+  EXPECT_NE(text.find("# hdem-tune v2"), std::string::npos);
   EXPECT_NE(text.find("# columns:"), std::string::npos);
 
   const auto back = parse_tune_rows(text);
@@ -282,12 +297,7 @@ TEST(TuneFile, RoundTrip) {
   EXPECT_EQ(b.workload.scenario, "settled");
   EXPECT_EQ(b.workload.n, 1234u);
   EXPECT_EQ(b.workload.settled_stride, 8u);
-  EXPECT_EQ(b.config.nprocs, 4);
-  EXPECT_EQ(b.config.nthreads, 2);
-  EXPECT_EQ(b.config.blocks_per_proc, 3);
-  EXPECT_TRUE(b.config.halo_delta);
-  EXPECT_FALSE(b.config.halo_coalesce);
-  EXPECT_TRUE(b.config.steal);
+  EXPECT_TRUE(b.config == r.config);
   EXPECT_EQ(b.simd_width, 4);
   EXPECT_EQ(b.iterations, 16u);
   EXPECT_NEAR(b.step_seconds, r.step_seconds, 1e-12);
@@ -301,20 +311,22 @@ TEST(TuneFile, RoundTrip) {
 TEST(TuneFile, ParsesByColumnNameNotPosition) {
   // Reordered + extra columns must parse; values bind by header name.
   const std::string text =
-      "# hdem-tune v1\n"
+      "# hdem-tune v2\n"
       "# columns: step_s extra T P scenario D n rc velocity stride cluster"
       " B skin skin_cap halo_delta halo_coalesce overlap steal rebalance"
       " reorder simd iters rebuild_rate imbalance force_s rebuild_s"
       " halo_wire_s halo_shared_s halo_wait_s migrate_s rebalance_s"
-      " other_s\n"
+      " other_s reduction fused rebalance_threshold shared_halo"
+      " ranks_per_node drift_measured\n"
       "0.5 99 3 2 uniform 2 1000 1.5 0.05 0 1 4 0 -1 0 0 0 0 0 1 1 8 1 1"
-      " 0.4 0.05 0.01 0 0.002 0.005 0 0.035\n";
+      " 0.4 0.05 0.01 0 0.002 0.005 0 0.035 colored 0 1.15 0 0 1\n";
   const auto rows = parse_tune_rows(text);
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_DOUBLE_EQ(rows[0].step_seconds, 0.5);
   EXPECT_EQ(rows[0].config.nthreads, 3);
   EXPECT_EQ(rows[0].config.nprocs, 2);
   EXPECT_EQ(rows[0].config.blocks_per_proc, 4);
+  EXPECT_EQ(rows[0].config.reduction, ReductionKind::kColored);
 }
 
 TEST(TuneFile, RejectsMalformedInput) {
@@ -323,9 +335,52 @@ TEST(TuneFile, RejectsMalformedInput) {
   // Row shorter than the header.
   EXPECT_THROW(parse_tune_rows("# columns: a b c\n1 2\n"),
                std::invalid_argument);
-  // Header missing a required column.
+  // Header missing a required column: the error names it.
   EXPECT_THROW(parse_tune_rows("# columns: scenario D\nuniform 2\n"),
                std::invalid_argument);
+  const std::string full = format_tune_rows(std::vector<TuneRow>(1));
+  for (const char* column : {"reduction", "drift_measured"}) {
+    std::string text = full;
+    text.replace(text.find(std::string(" ") + column + " "),
+                 std::string(column).size() + 1, " missing");
+    try {
+      parse_tune_rows(text);
+      ADD_FAILURE() << "no error for a file without " << column;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(column), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// --auto's closed loop: a file that parses is used as it is; a missing
+// file, or one in an older format (v1 rows lack the reduction column), is
+// measured and overwritten.
+TEST(TuneFile, LoadOrMeasureReplacesAFileThatDoesNotParse) {
+  const std::string path = "fit_load_or_measure.tune";
+  std::filesystem::remove(path);
+  std::vector<TuneRow> measured(2);
+  measured[1].config.nthreads = 2;
+  int calls = 0;
+  const auto measure = [&] {
+    ++calls;
+    return measured;
+  };
+  EXPECT_EQ(load_or_measure_tune_rows(path, "test", measure).size(), 2u);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(load_or_measure_tune_rows(path, "test", measure).size(), 2u);
+  EXPECT_EQ(calls, 1);
+  {
+    std::ofstream out(path);
+    out << "# hdem-tune v1\n# columns: scenario D n P T B\n"
+           "uniform 2 1000 1 1 1\n";
+  }
+  const auto rows = load_or_measure_tune_rows(path, "test", measure);
+  EXPECT_EQ(calls, 2);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1].config.nthreads, 2);
+  EXPECT_EQ(load_tune_rows(path).size(), 2u);
+  std::filesystem::remove(path);
 }
 
 // --- serving choice --------------------------------------------------------
@@ -337,9 +392,9 @@ TEST(ChooseServing, LatencyScalesBatchConserves) {
   FittedModel model;
   model.beta[FittedModel::kForce] = {1e-6, 0.0, 0.0, 0.0};  // n_r / T
   const TuneWorkload w;  // n = 4000
-  const auto latency = choose_serving(model, w, 0.0, true, 4);
+  const auto latency = choose_serving(model, w, {}, true, 4);
   EXPECT_EQ(latency.inner_threads, 4);
-  const auto batch = choose_serving(model, w, 0.0, false, 4);
+  const auto batch = choose_serving(model, w, {}, false, 4);
   EXPECT_EQ(batch.inner_threads, 1);
   EXPECT_GT(batch.predicted_step_seconds, latency.predicted_step_seconds);
 }
@@ -351,8 +406,8 @@ TEST(ChooseServing, FlatScalingKeepsOneThread) {
   model.beta[FittedModel::kForce] = {0.0, 1e-6, 0.0, 0.0};   // n_r, T-free
   model.beta[FittedModel::kOther] = {0.0, 5e-4, 0.0, 0.0};   // (T-1) cost
   const TuneWorkload w;
-  EXPECT_EQ(choose_serving(model, w, 0.0, true, 4).inner_threads, 1);
-  EXPECT_EQ(choose_serving(model, w, 0.0, false, 4).inner_threads, 1);
+  EXPECT_EQ(choose_serving(model, w, {}, true, 4).inner_threads, 1);
+  EXPECT_EQ(choose_serving(model, w, {}, false, 4).inner_threads, 1);
 }
 
 TEST(ChooseServing, QuantumTargetsFixedWorkAndClamps) {
@@ -360,46 +415,12 @@ TEST(ChooseServing, QuantumTargetsFixedWorkAndClamps) {
   model.beta[FittedModel::kForce] = {0.0, 1e-6, 0.0, 0.0};  // step = 1e-6 n
   TuneWorkload w;
   w.n = 400;  // step 4e-4 -> 0.004/4e-4 = 10 steps per quantum
-  EXPECT_EQ(choose_serving(model, w, 0.0, false, 1).quantum_steps, 10u);
+  EXPECT_EQ(choose_serving(model, w, {}, false, 1).quantum_steps, 10u);
   w.n = 4;  // tiny step -> clamp high
-  EXPECT_EQ(choose_serving(model, w, 0.0, false, 1).quantum_steps, 256u);
+  EXPECT_EQ(choose_serving(model, w, {}, false, 1).quantum_steps, 256u);
   w.n = 4'000'000;  // huge step -> clamp low
-  EXPECT_EQ(choose_serving(model, w, 0.0, false, 1).quantum_steps, 8u);
+  EXPECT_EQ(choose_serving(model, w, {}, false, 1).quantum_steps, 8u);
 }
-
-// Sets (value != nullptr) or unsets each variable for its lifetime and
-// restores the previous values afterwards.
-class ScopedEnv {
- public:
-  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
-    for (const auto& [name, value] : vars) {
-      const char* old = std::getenv(name);
-      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
-      if (value != nullptr) {
-        ::setenv(name, value, 1);
-      } else {
-        ::unsetenv(name);
-      }
-    }
-  }
-  ~ScopedEnv() {
-    for (const auto& s : saved_) {
-      if (s.was_set) {
-        ::setenv(s.name.c_str(), s.value.c_str(), 1);
-      } else {
-        ::unsetenv(s.name.c_str());
-      }
-    }
-  }
-
- private:
-  struct Saved {
-    std::string name;
-    bool was_set;
-    std::string value;
-  };
-  std::vector<Saved> saved_;
-};
 
 // A tune row records its own knobs (skin, halo delta/coalesce, ...), so
 // the HDEM_* environment of the measuring process must not reach the run:

@@ -9,18 +9,18 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "ci_knobs.hpp"
 #include "core/config.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
 #include "mp/comm.hpp"
-#include "util/halo_cli.hpp"
+#include "util/knob_cli.hpp"
 
 namespace hdem {
 namespace {
@@ -217,7 +217,7 @@ struct SwapResult {
 // set, so delta masks are neither empty nor full).
 SwapResult run_swaps(const SwapModes& modes, int nprocs, int bpp, int nswaps,
                      std::uint64_t n, std::uint64_t seed) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = seed;
   const auto layout = DecompLayout<2>::make(nprocs, bpp);
@@ -362,7 +362,7 @@ void expect_records_identical(const std::vector<StateRecord<D>>& a,
 }
 
 SimConfig<2> driver_config(bool delta, double skin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(600));
   cfg.seed = 31;
   cfg.dt = 2.5e-4;
@@ -390,7 +390,7 @@ std::vector<StateRecord<2>> run_driver(const char* driver, bool delta,
     return snapshot_records<2>(sim.store());
   }
   const auto layout = DecompLayout<2>::make(4, 1);
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.nthreads = nthreads;
   // Atomic-family reductions are not run-to-run reproducible at T > 1.
   opts.reduction = ReductionKind::kColored;
@@ -424,7 +424,7 @@ TEST(HaloDeltaDrivers, MpCountersConserveBytesAndCompress) {
   // Settled bed: a contact-free lattice at rest with a mobile minority
   // (every fifth particle), so most halo entries repeat bit-exactly
   // between swaps and the masks genuinely compress.
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 31;
   cfg.velocity_scale = 0.0;
@@ -439,7 +439,7 @@ TEST(HaloDeltaDrivers, MpCountersConserveBytesAndCompress) {
   // The assertions below read the wire counters, so pin the wire
   // transport regardless of HDEM_SHARED_HALO (the masked shared-window
   // path has its own suite above).
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.shared_halo = false;
   mp::run(4, [&](mp::Comm& comm) {
     MpSim<2> sim(cfg, layout, comm,
@@ -459,7 +459,7 @@ TEST(HaloDeltaDrivers, MpCountersConserveBytesAndCompress) {
 // -- config and CLI surface --------------------------------------------------
 
 TEST(HaloDeltaConfig, ValidateRejectsZeroCapacityTemplates) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.halo_delta = true;
   cfg.cutoff_factor = 1.0;  // list radius == rmax: zero drift allowance
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
@@ -467,27 +467,20 @@ TEST(HaloDeltaConfig, ValidateRejectsZeroCapacityTemplates) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+// HDEM_HALO_DELTA / HDEM_HALO_COALESCE reach no SimConfig or flag default
+// (only tests/ci_knobs.hpp reads them, for the CI matrix).
 TEST(HaloDeltaConfig, EnvDefaults) {
-  ASSERT_EQ(::setenv("HDEM_HALO_DELTA", "1", 1), 0);
-  ASSERT_EQ(::setenv("HDEM_HALO_COALESCE", "1", 1), 0);
-  EXPECT_TRUE(halo_delta_env_default());
-  EXPECT_TRUE(halo_coalesce_env_default());
-  ASSERT_EQ(::unsetenv("HDEM_HALO_DELTA"), 0);
-  ASSERT_EQ(::unsetenv("HDEM_HALO_COALESCE"), 0);
-  EXPECT_FALSE(halo_delta_env_default());
-  EXPECT_FALSE(halo_coalesce_env_default());
+  expect_environment_never_reaches_a_default();
 }
 
 TEST(HaloDeltaConfig, CliFlagsApplyToConfig) {
   std::string prog = "prog", f1 = "--halo-delta", f2 = "--halo-coalesce";
   std::vector<char*> argv = {prog.data(), f1.data(), f2.data()};
   Cli cli(static_cast<int>(argv.size()), argv.data());
-  const auto halo = declare_halo_options(cli);
+  RunKnobs knobs;
+  declare_halo_options(cli, knobs);
   EXPECT_FALSE(cli.finish());
-  EXPECT_TRUE(halo.delta);
-  EXPECT_TRUE(halo.coalesce);
-  SimConfig<2> cfg;
-  halo.apply(cfg);
+  const SimConfig<2> cfg{knobs};
   EXPECT_TRUE(cfg.halo_delta);
   EXPECT_TRUE(cfg.halo_coalesce);
 }

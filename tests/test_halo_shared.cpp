@@ -12,6 +12,7 @@
 #include <mutex>
 #include <vector>
 
+#include "ci_knobs.hpp"
 #include "core/config.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
@@ -58,7 +59,7 @@ template <int D>
 void check_shared_matches_wire(BoundaryKind kind, int nprocs, int bpp,
                                int ranks_per_node, std::uint64_t n,
                                std::uint64_t seed) {
-  SimConfig<D> cfg;
+  SimConfig<D> cfg = ci_config<D>();
   cfg.box = Vec<D>(1.0);
   cfg.bc = kind;
   cfg.seed = seed;
@@ -153,7 +154,7 @@ template <int D>
 void check_trajectory_identity(int nprocs, int bpp, int ranks_per_node,
                                int nthreads, std::uint64_t n, int steps,
                                std::uint64_t seed, bool rebalance = false) {
-  SimConfig<D> cfg;
+  SimConfig<D> cfg = ci_config<D>();
   cfg.box = Vec<D>(1.0);
   cfg.seed = seed;
   cfg.velocity_scale = 0.8;  // rebuilds + migrations inside the window
@@ -163,7 +164,7 @@ void check_trajectory_identity(int nprocs, int bpp, int ranks_per_node,
   auto run_mode = [&](bool shared, Counters& total,
                       std::uint64_t& republishes) {
     const auto layout = DecompLayout<D>::make(nprocs, bpp);
-    typename MpSim<D>::Options opts;
+    typename MpSim<D>::Options opts = ci_knobs();
     opts.nthreads = nthreads;
     // Bit-identity needs a deterministic reduction: the atomic family is
     // not run-to-run reproducible at T > 1 (accumulation order races), so
@@ -286,7 +287,7 @@ TEST(SharedHaloTrajectory, RebalanceRepublishesWindows) {
 // rebuild more often than the conservative accumulated max_v*dt bound —
 // the measured displacement is bounded above by the accumulated bound.
 TEST(MeasuredDrift, NeverMoreRebuildsThanConservative) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 51;
   cfg.velocity_scale = 1.0;
@@ -311,7 +312,7 @@ TEST(MeasuredDrift, NeverMoreRebuildsThanConservative) {
 // Same guarantee under the decomposed driver (per-block measurement +
 // global max reduction).
 TEST(MeasuredDrift, MpNeverMoreRebuildsThanConservative) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 53;
   cfg.velocity_scale = 1.0;
@@ -324,7 +325,7 @@ TEST(MeasuredDrift, MpNeverMoreRebuildsThanConservative) {
     c.drift_measured = measured;
     std::uint64_t rebuilds = 0;
     mp::run(4, [&](mp::Comm& comm) {
-      MpSim<2> sim(c, layout, comm, model, init);
+      MpSim<2> sim(c, layout, comm, model, init, ci_knobs());
       sim.run(150);
       if (comm.rank() == 0) rebuilds = sim.counters().rebuilds;
     });

@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
+#include "ci_knobs.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
-#include "util/skin_cli.hpp"
 
 namespace hdem {
 namespace {
@@ -39,7 +39,7 @@ SimConfig<2> momentum_config() {
   cfg.bc = BoundaryKind::kPeriodic;
   cfg.gravity = Vec<2>{};
   cfg.velocity_scale = 0.8;  // rebuilds and migrations inside the window
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   return cfg;
 }
 

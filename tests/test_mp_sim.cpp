@@ -7,8 +7,8 @@
 #include <map>
 #include <mutex>
 
+#include "ci_knobs.hpp"
 #include "core/serial_sim.hpp"
-#include "util/skin_cli.hpp"
 
 namespace hdem {
 namespace {
@@ -47,15 +47,15 @@ class MpEquivalence3D : public ::testing::TestWithParam<Case> {};
 template <int D>
 void run_equivalence(const Case& p, std::uint64_t n, int steps,
                      std::uint64_t seed,
-                     typename MpSim<D>::Options opts = {}) {
-  SimConfig<D> cfg;
+                     typename MpSim<D>::Options opts = ci_knobs()) {
+  SimConfig<D> cfg = ci_config<D>();
   cfg.box = Vec<D>(1.0);
   cfg.bc = p.bc;
   cfg.seed = seed;
   cfg.velocity_scale = 0.8;  // rebuilds + migrations inside the window
   // CI runs the whole suite under HDEM_SKIN as well; the serial reference
   // shares the config, so equivalence must hold at any skin.
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   const auto ref = serial_reference<D>(cfg, n, steps);
   const auto init = uniform_random_particles(cfg, n);
   const auto layout = DecompLayout<D>::make(p.nprocs, p.blocks_per_proc);
@@ -155,16 +155,15 @@ MpState<D> run_mp_state(const SimConfig<D>& cfg,
 // core links always accumulate before halo links per block and the PE sums
 // in the same order, so the trajectories are the same bits.
 template <int D>
-void expect_overlap_bit_identical(std::uint64_t n, int steps,
-                                  std::uint64_t seed, int nprocs, int bpp,
-                                  bool reorder,
-                                  typename MpSim<D>::Options opts = {}) {
-  SimConfig<D> cfg;
+void expect_overlap_bit_identical(
+    std::uint64_t n, int steps, std::uint64_t seed, int nprocs, int bpp,
+    bool reorder, typename MpSim<D>::Options opts = ci_knobs()) {
+  SimConfig<D> cfg = ci_config<D>();
   cfg.box = Vec<D>(1.0);
   cfg.seed = seed;
   cfg.reorder = reorder;
   cfg.velocity_scale = 0.8;  // rebuilds + migrations inside the window
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   const auto init = uniform_random_particles(cfg, n);
   opts.overlap = false;
   const auto off = run_mp_state<D>(cfg, init, nprocs, bpp, opts, steps);
@@ -220,7 +219,7 @@ TEST(MpOverlap, BitIdenticalColoredThreads) {
   // The colored plan runs all core phases before all halo phases, so the
   // split schedule executes the same phases in the same order: threaded
   // runs stay bit-identical as well.
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.nthreads = 2;
   opts.reduction = ReductionKind::kColored;
   expect_overlap_bit_identical<2>(500, 60, 11, 2, 2, true, opts);
@@ -230,7 +229,7 @@ TEST(MpOverlap, BitIdenticalFusedColored) {
   // The fused colored pass splits into the core color phases and then the
   // halo color phases, so each particle sees the same phase order under
   // either schedule (the wall-clock benchmark's fused2x2 configuration).
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.nthreads = 2;
   opts.reduction = ReductionKind::kColored;
   opts.fused = true;
@@ -238,25 +237,25 @@ TEST(MpOverlap, BitIdenticalFusedColored) {
 }
 
 TEST(MpOverlap, MatchesSerialTrajectory2D) {
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.overlap = true;
   run_equivalence<2>(Case{4, 4, BoundaryKind::kPeriodic}, 500, 120, 31, opts);
 }
 
 TEST(MpOverlap, MatchesSerialTrajectory3D) {
-  typename MpSim<3>::Options opts;
+  typename MpSim<3>::Options opts = ci_knobs();
   opts.overlap = true;
   run_equivalence<3>(Case{4, 2, BoundaryKind::kPeriodic}, 700, 100, 37, opts);
 }
 
 TEST(MpOverlap, MatchesSerialWithWalls) {
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.overlap = true;
   run_equivalence<2>(Case{4, 4, BoundaryKind::kWalls}, 500, 120, 31, opts);
 }
 
 TEST(MpOverlap, FusedHybridMatchesSerial) {
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.overlap = true;
   opts.fused = true;
   opts.nthreads = 2;
@@ -265,7 +264,7 @@ TEST(MpOverlap, FusedHybridMatchesSerial) {
 }
 
 TEST(MpOverlap, PerBlockHybridMatchesSerial) {
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.overlap = true;
   opts.nthreads = 2;
   opts.reduction = ReductionKind::kSelectedAtomic;
@@ -273,15 +272,15 @@ TEST(MpOverlap, PerBlockHybridMatchesSerial) {
 }
 
 TEST(MpOverlap, NoMessageLeakAfterTeardown) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 13;
   cfg.velocity_scale = 0.8;
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   const auto init = uniform_random_particles(cfg, 400);
   const auto layout = DecompLayout<2>::make(4, 2);
   mp::run(4, [&](mp::Comm& comm) {
-    typename MpSim<2>::Options opts;
+    typename MpSim<2>::Options opts = ci_knobs();
     opts.overlap = true;
     {
       MpSim<2> sim(cfg, layout, comm,
@@ -298,12 +297,12 @@ TEST(MpOverlap, NoMessageLeakAfterTeardown) {
 TEST(MpSim, HaloLinkAccountingSymmetric) {
   // Every cross-block pair appears exactly twice globally (once per side),
   // so: global core links + halo links / 2 == serial link count.
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.seed = 41;
   // Candidate lists widen with the skin on both sides identically, so the
   // two-sided halo accounting stays exact at any HDEM_SKIN.
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   const std::uint64_t n = 600;
   const auto init = uniform_random_particles(cfg, n);
   auto serial = SerialSim<2>(cfg, ElasticSphere{cfg.stiffness, cfg.diameter},
@@ -313,7 +312,8 @@ TEST(MpSim, HaloLinkAccountingSymmetric) {
   const auto layout = DecompLayout<2>::make(4, 4);
   mp::run(4, [&](mp::Comm& comm) {
     MpSim<2> sim(cfg, layout, comm,
-                 ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+                 ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                 ci_knobs());
     const auto c = sim.counters();
     const auto core = static_cast<long long>(c.links_core);
     const auto halo = static_cast<long long>(c.links_halo);
@@ -327,28 +327,29 @@ TEST(MpSim, HaloLinkAccountingSymmetric) {
 }
 
 TEST(MpSim, RejectsMismatchedCommSize) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   const auto init = uniform_random_particles(cfg, 100);
   const auto layout = DecompLayout<2>::make(4, 1);
   mp::run(2, [&](mp::Comm& comm) {
     EXPECT_THROW(MpSim<2>(cfg, layout, comm,
-                          ElasticSphere{cfg.stiffness, cfg.diameter}, init),
+                          ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                          ci_knobs()),
                  std::invalid_argument);
   });
 }
 
 TEST(MpSim, FinerGranularityMoreMessages) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   // This measures the wire protocol's per-side message overhead;
   // coalescing exists to make the count granularity-invariant (gated the
   // other way in test_halo_delta) and the shared-window transport removes
   // the messages entirely, so pin both off regardless of
   // HDEM_HALO_COALESCE / HDEM_SHARED_HALO.
   cfg.halo_coalesce = false;
-  typename MpSim<2>::Options opts;
+  typename MpSim<2>::Options opts = ci_knobs();
   opts.shared_halo = false;
   const auto init = uniform_random_particles(cfg, 600);
   std::uint64_t msgs_coarse = 0, msgs_fine = 0;
@@ -371,14 +372,15 @@ TEST(MpSim, FinerGranularityMoreMessages) {
 }
 
 TEST(MpSim, CountersBlocksAndParticles) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
-  cfg.skin_factor = skin_env_default();
+  cfg.skin_factor = ci_knobs().skin_factor;
   const auto init = uniform_random_particles(cfg, 400);
   const auto layout = DecompLayout<2>::make(2, 8);
   mp::run(2, [&](mp::Comm& comm) {
     MpSim<2> sim(cfg, layout, comm,
-                 ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+                 ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                 ci_knobs());
     const auto c = sim.counters();
     EXPECT_EQ(c.blocks, 8u);
     const auto total = comm.allreduce(
@@ -388,6 +390,69 @@ TEST(MpSim, CountersBlocksAndParticles) {
     }
     EXPECT_GT(c.halo_particles, 0u);
   });
+}
+
+// MpOptions::validate() holds every cross-knob rule, and both drivers
+// construct through it.
+TEST(MpOptions, ValidateRejectsEachRule) {
+  EXPECT_NO_THROW(MpOptions{}.validate());
+  const auto rejects = [](auto edit) {
+    MpOptions o;
+    edit(o);
+    EXPECT_THROW(o.validate(), std::invalid_argument);
+  };
+  rejects([](MpOptions& o) { o.nthreads = 0; });
+  rejects([](MpOptions& o) { o.fused = true; });  // needs a team
+  rejects([](MpOptions& o) {
+    o.fused = true;
+    o.nthreads = 2;
+    o.reduction = ReductionKind::kStripe;  // a private-array strategy
+  });
+  rejects([](MpOptions& o) { o.steal = true; });  // needs colored
+  rejects([](MpOptions& o) { o.rebalance_threshold = 0.99; });
+
+  SimConfig<2> cfg = ci_config<2>();
+  const auto init = uniform_random_particles(cfg, 100);
+  const ElasticSphere model{cfg.stiffness, cfg.diameter};
+  EXPECT_THROW(SmpSim<2>(cfg, model, init, 0), std::invalid_argument);
+  mp::run(1, [&](mp::Comm& comm) {
+    MpOptions no_threads = ci_knobs();
+    no_threads.nthreads = 0;
+    EXPECT_THROW(MpSim<2>(cfg, DecompLayout<2>::make(1, 1), comm, model,
+                          init, no_threads),
+                 std::invalid_argument);
+  });
+}
+
+// The CI halo-transport matrix reaches the drivers only through
+// tests/ci_knobs.hpp.  A helper that dropped a variable would leave its leg
+// on the wire path, and the identity suites could not tell, so this run,
+// built the way the suites build theirs, finds each variable the leg sets
+// (read one by one, not through ci_knobs()) in its counters and config.
+// With no variables set it checks the wire defaults.
+TEST(CiMatrix, KnobsReachTheDriver) {
+  const bool shared = ci_switch("HDEM_SHARED_HALO");
+  const bool delta = ci_switch("HDEM_HALO_DELTA");
+  const bool coalesce = ci_switch("HDEM_HALO_COALESCE");
+  const double skin = ci_number("HDEM_SKIN", 0.0);
+  const double ranks_per_node = ci_number("HDEM_RANKS_PER_NODE", 0.0);
+  constexpr std::uint64_t n = 1200;
+  SimConfig<2> cfg = ci_config<2>();
+  cfg.skin_factor = ci_knobs().skin_factor;
+  // A contact-free settled bed (lattice spacing above rc): most positions
+  // never change, so delta frames save bytes on the wire and in the shared
+  // windows alike.
+  cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(n) * 1.6);
+  const auto init = settled_bed_particles(cfg, n, 5, 0.25);
+  const Counters c = run_mp_state<2>(cfg, init, 4, 2, ci_knobs(), 6).agg;
+  // Halos cross the wire unless all four ranks share one node.
+  const bool one_node =
+      shared && (ranks_per_node <= 0.0 || ranks_per_node >= 4.0);
+  EXPECT_EQ(c.msgs_shared > 0, shared);
+  EXPECT_EQ(c.halo_msgs_wire > 0, !one_node);
+  EXPECT_EQ(c.halo_bytes_eager + c.bytes_delta_saved > 0, delta);
+  EXPECT_EQ(c.msgs_coalesced > 0, coalesce && !one_node);
+  EXPECT_EQ(cfg.list_radius() > cfg.cutoff(), skin > 0.0);
 }
 
 }  // namespace

@@ -6,17 +6,16 @@
 // / shared-window republications.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "ci_knobs.hpp"
 #include "core/config.hpp"
 #include "core/dynamics.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
-#include "util/skin_cli.hpp"
 
 namespace hdem {
 namespace {
@@ -24,7 +23,7 @@ namespace {
 // -- configuration ----------------------------------------------------------
 
 TEST(SkinConfig, WidenedRadiiAndAllowance) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.skin_factor = 0.4;
   EXPECT_DOUBLE_EQ(cfg.skin(), 0.4 * cfg.cutoff());
   EXPECT_DOUBLE_EQ(cfg.list_radius(), 1.4 * cfg.cutoff());
@@ -37,27 +36,27 @@ TEST(SkinConfig, WidenedRadiiAndAllowance) {
   EXPECT_DOUBLE_EQ(cfg.drift_allowance(),
                    0.5 * (1.4 * cfg.cutoff() - cfg.rmax()));
   // skin = 0 reproduces the classic sliver 0.5*(rc - rmax).
-  SimConfig<2> base;
+  SimConfig<2> base = ci_config<2>();
   EXPECT_DOUBLE_EQ(base.drift_allowance(),
                    0.5 * (base.cutoff() - base.rmax()));
   EXPECT_NO_THROW(cfg.validate());
 }
 
 TEST(SkinConfig, RejectsNegativeSkin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.skin_factor = -0.1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(SkinConfig, RejectsCapacityBelowSkin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.skin_factor = 0.3;
   cfg.skin_cap_factor = 0.1;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
 TEST(SkinConfig, BoxCheckUsesWidenedRadius) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(0.5);
   EXPECT_NO_THROW(cfg.validate());  // 0.5 >= 3 * 0.075
   cfg.skin_factor = 2.0;            // binning radius 0.225, needs 0.675
@@ -66,12 +65,9 @@ TEST(SkinConfig, BoxCheckUsesWidenedRadius) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
-TEST(SkinCli, EnvDefault) {
-  ASSERT_EQ(::setenv("HDEM_SKIN", "0.25", 1), 0);
-  EXPECT_DOUBLE_EQ(skin_env_default(), 0.25);
-  ASSERT_EQ(::unsetenv("HDEM_SKIN"), 0);
-  EXPECT_DOUBLE_EQ(skin_env_default(), 0.0);
-}
+// HDEM_SKIN reaches no default of --skin or SimConfig::skin_factor (only
+// tests/ci_knobs.hpp reads it, for the CI matrix).
+TEST(SkinCli, EnvDefault) { expect_environment_never_reaches_a_default(); }
 
 // -- the shared drift tracker -----------------------------------------------
 
@@ -115,7 +111,7 @@ std::vector<ParticleInit<2>> mover_and_bystanders(double vx) {
 }
 
 SimConfig<2> schedule_config(double skin) {
-  SimConfig<2> cfg;
+  SimConfig<2> cfg = ci_config<2>();
   cfg.box = Vec<2>(1.0);
   cfg.bc = BoundaryKind::kPeriodic;
   cfg.dt = 5e-4;
@@ -169,7 +165,8 @@ TEST(SkinSchedule, MpMeasuredTriggerIsExactAndSkipsWholePipeline) {
     const auto layout = DecompLayout<2>::make(2, 1);
     mp::run(2, [&](mp::Comm& comm) {
       MpSim<2> sim(cfg, layout, comm,
-                   ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+                   ElasticSphere{cfg.stiffness, cfg.diameter}, init,
+                   ci_knobs());
       sim.run(kScheduleSteps);
       const Counters& c = sim.counters();
       EXPECT_EQ(c.rebuilds, e.rebuilds)
@@ -190,7 +187,7 @@ TEST(SkinSchedule, MpMeasuredTriggerIsExactAndSkipsWholePipeline) {
 // estimated mode keeps integrating max_v*dt and rebuilds anyway.
 TEST(SkinSchedule, MeasuredTriggerSurvivesAWallBounce) {
   for (const bool measured : {true, false}) {
-    SimConfig<2> cfg;
+    SimConfig<2> cfg = ci_config<2>();
     cfg.box = Vec<2>(1.0);
     cfg.bc = BoundaryKind::kWalls;
     cfg.dt = 5e-4;
@@ -218,7 +215,7 @@ TEST(SkinSchedule, MeasuredTriggerSurvivesAWallBounce) {
 // agree bit for bit while the candidate lists differ (DESIGN §3.7).
 TEST(SkinIdentity, SerialTrajectoriesBitIdenticalAcrossSkins) {
   auto run = [](double skin) {
-    SimConfig<2> cfg;
+    SimConfig<2> cfg = ci_config<2>();
     cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(600));
     cfg.seed = 19;
     cfg.dt = 2.5e-4;
@@ -261,7 +258,7 @@ TEST(SkinSharedWindow, RepublishesOnlyAtRebuilds) {
     const auto cfg = schedule_config(skin);
     const auto init = mover_and_bystanders(5.2);
     const auto layout = DecompLayout<2>::make(2, 1);
-    typename MpSim<2>::Options opts;
+    typename MpSim<2>::Options opts = ci_knobs();
     opts.shared_halo = true;
     opts.ranks_per_node = 0;  // both ranks on one node
     mp::run(2, [&](mp::Comm& comm) {
