@@ -10,12 +10,16 @@
 //      results/.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/init.hpp"
+#include "core/particle_store.hpp"
 #include "perf/calibrate.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
@@ -216,6 +220,38 @@ inline std::string calibration_report(const BenchContext& ctx) {
   }
   return "Serial kernel constants fitted to the paper's Tables 1 & 2:\n" +
          t.render() + "\n";
+}
+
+// Order-independent trajectory digest: FNV-1a over every particle's
+// (id, pos, vel) record in id order, so storage order (which varies with
+// the reorder flag and the decomposition) never affects the hash.
+template <int D>
+std::uint64_t trajectory_digest(std::vector<StateRecord<D>> recs) {
+  std::sort(recs.begin(), recs.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  std::uint64_t h = 1469598103934665603ull;
+  const auto fold = [&h](const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& r : recs) {
+    fold(&r.id, sizeof(r.id));
+    fold(&r.pos, sizeof(r.pos));
+    fold(&r.vel, sizeof(r.vel));
+  }
+  return h;
+}
+
+template <int D>
+std::uint64_t trajectory_digest(const ParticleStore<D>& store) {
+  std::vector<StateRecord<D>> recs(store.size());
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    recs[i] = {store.id(i), store.pos(i), store.vel(i)};
+  }
+  return trajectory_digest<D>(std::move(recs));
 }
 
 }  // namespace hdem::bench

@@ -28,34 +28,6 @@ using namespace hdem::bench;
 
 namespace {
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Order-independent trajectory digest: fold each particle's (id, pos, vel)
-// record at its id's rank, so storage order (which legitimately varies
-// with the reorder flag) never affects the hash.
-template <int D>
-std::uint64_t state_hash(const ParticleStore<D>& store) {
-  std::vector<std::size_t> by_id(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    by_id[static_cast<std::size_t>(store.id(i))] = i;
-  }
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::size_t i : by_id) {
-    const std::int32_t id = store.id(i);
-    h = fnv1a(&id, sizeof(id), h);
-    h = fnv1a(&store.pos(i), sizeof(Vec<D>), h);
-    h = fnv1a(&store.vel(i), sizeof(Vec<D>), h);
-  }
-  return h;
-}
-
 struct RebuildTiming {
   double seconds_per_rebuild = 0.0;
   // Per-rebuild phase breakdown from the driver's counters (ns).
@@ -106,7 +78,7 @@ std::uint64_t trajectory_hash(std::uint64_t n, int nthreads, bool reorder,
   SmpSim<D> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init,
                 nthreads, ReductionKind::kColored);
   sim.run(static_cast<std::uint64_t>(steps));
-  return state_hash(sim.store());
+  return trajectory_digest<D>(sim.store());
 }
 
 }  // namespace

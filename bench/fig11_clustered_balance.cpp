@@ -33,15 +33,6 @@ using namespace hdem::bench;
 
 namespace {
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 struct SchemeSpec {
   const char* name;
   bool steal;
@@ -137,16 +128,7 @@ std::uint64_t trajectory_hash(const SimConfig<D>& cfg,
                  ElasticSphere{cfg.stiffness, cfg.diameter}, init, opts);
     sim.run(static_cast<std::uint64_t>(steps));
     auto state = sim.gather_state();
-    if (comm.rank() != 0) return;
-    std::sort(state.begin(), state.end(),
-              [](const auto& a, const auto& b) { return a.id < b.id; });
-    std::uint64_t h = 1469598103934665603ull;
-    for (const auto& r : state) {
-      h = fnv1a(&r.id, sizeof(r.id), h);
-      h = fnv1a(&r.pos, sizeof(r.pos), h);
-      h = fnv1a(&r.vel, sizeof(r.vel), h);
-    }
-    hash = h;
+    if (comm.rank() == 0) hash = trajectory_digest<D>(std::move(state));
   });
   return hash;
 }

@@ -32,44 +32,6 @@ using namespace hdem::bench;
 
 namespace {
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Order-independent trajectory digest (see fig10): fold each particle's
-// (id, pos, vel) record at its id's rank.
-template <int D>
-std::uint64_t state_hash(const ParticleStore<D>& store) {
-  std::vector<std::size_t> by_id(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    by_id[static_cast<std::size_t>(store.id(i))] = i;
-  }
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::size_t i : by_id) {
-    const std::int32_t id = store.id(i);
-    h = fnv1a(&id, sizeof(id), h);
-    h = fnv1a(&store.pos(i), sizeof(Vec<D>), h);
-    h = fnv1a(&store.vel(i), sizeof(Vec<D>), h);
-  }
-  return h;
-}
-
-template <int D>
-std::uint64_t records_hash(const std::vector<StateRecord<D>>& recs) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : recs) {
-    h = fnv1a(&r.id, sizeof(r.id), h);
-    h = fnv1a(&r.pos, sizeof(r.pos), h);
-    h = fnv1a(&r.vel, sizeof(r.vel), h);
-  }
-  return h;
-}
-
 // The kernels_gbench benchmark system, templated over dimension.
 template <int D>
 struct System {
@@ -229,7 +191,7 @@ std::uint64_t serial_traj(std::uint64_t n, int steps, int width) {
   SerialSim<D> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
   sim.run(static_cast<std::uint64_t>(steps));
   simd::set_dispatch_width(0);
-  return state_hash(sim.store());
+  return trajectory_digest<D>(sim.store());
 }
 
 template <int D>
@@ -241,7 +203,7 @@ std::uint64_t smp_traj(std::uint64_t n, int steps, int width) {
                 ReductionKind::kColored);
   sim.run(static_cast<std::uint64_t>(steps));
   simd::set_dispatch_width(0);
-  return state_hash(sim.store());
+  return trajectory_digest<D>(sim.store());
 }
 
 template <int D>
@@ -256,8 +218,8 @@ std::uint64_t mp_traj(std::uint64_t n, int steps, int width) {
     MpSim<D> sim(cfg, layout, comm, ElasticSphere{cfg.stiffness, cfg.diameter},
                  init, opts);
     sim.run(static_cast<std::uint64_t>(steps));
-    const auto state = sim.gather_state();
-    if (comm.rank() == 0) h = records_hash(state);
+    auto state = sim.gather_state();
+    if (comm.rank() == 0) h = trajectory_digest<D>(std::move(state));
   });
   simd::set_dispatch_width(0);
   return h;

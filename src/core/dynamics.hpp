@@ -1,8 +1,8 @@
 // Force accumulation over the link list and the position update.
 //
-// These are the serial building blocks; the threaded force loop with its
-// five accumulation strategies lives in src/reduction, and the decomposed
-// drivers compose these per block.
+// These are the serial building blocks; the threaded team passes with the
+// seven accumulation strategies live in src/reduction, and both drivers
+// compose these per block.
 #pragma once
 
 #include <cmath>
@@ -253,11 +253,11 @@ double max_displacement(std::span<const Vec<D>> pos,
   return std::sqrt(max_d2);
 }
 
-// Accumulated-motion tracker shared by all three drivers: decides when the
+// Accumulated-motion tracker shared by both drivers: decides when the
 // candidate link list (built out to rc + skin) must be rebuilt.  In
 // measured mode the caller supplies the exact maximum displacement since
-// the last rebuild (serial/smp: one max_displacement() pass; mp: per-block
-// passes reduced with a kMax allreduce); otherwise the conservative
+// the last rebuild (taken per thread inside the team update pass, and on
+// the mp driver reduced with a kMax allreduce); otherwise the conservative
 // max_v*dt bound accumulates.  The list stays valid while twice the
 // tracked drift cannot close the widened gap rc + skin - rmax — the one
 // place the skin policy lives (DESIGN §3.7).

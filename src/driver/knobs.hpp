@@ -34,9 +34,10 @@ struct MpOptions {
   // The paper's Section 11 proposal: "a single parallel loop over all
   // links in all blocks rather than one loop per block", reducing both
   // the per-block fork/join overhead and the inter-thread dependencies
-  // (a thread's contiguous global link range covers whole blocks most of
-  // the time).  Only meaningful for the hybrid scheme with an
-  // atomic-family reduction.
+  // (a thread's contiguous share of the rank's links covers whole blocks
+  // most of the time).  The team force and update passes then run over
+  // all of the rank's blocks at once.  Requires a thread team and an
+  // atomic-family or colored reduction (see validate()).
   bool fused = false;
   // Overlap halo communication with core-link forces: initiate every
   // block's swap, compute core links (which never read halo data) while

@@ -12,7 +12,9 @@
 // parallel region."  Each rank owns a thread team; per-block force and
 // update loops run on the team (one parallel region per block per loop,
 // reproducing the hybrid overhead structure the paper analyses), while all
-// communication is performed by the master thread.
+// communication is performed by the master thread.  The fused scheme (the
+// paper's Section 11 proposal) runs the same team passes over all of the
+// rank's blocks at once: one region per loop.
 //
 // Both schemes run one step schedule (step()) on one thread team; pure
 // message passing runs it on a one-member team.  The only place the two
@@ -21,7 +23,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -203,7 +204,7 @@ class MpSim {
                          cfg_.binning_radius(), no_wrap());
         b.grid.bin_parallel(b.store.cpositions(), b.ncore, *team_);
       }
-      counters_.rebuild_bin_ns += elapsed_ns(t);
+      counters_.rebuild_bin_ns += t.nanoseconds();
     }
     if (cfg_.reorder) {
       trace::Scope scope(trace::Phase::kReorder, comm_->rank());
@@ -213,7 +214,7 @@ class MpSim {
         b.grid.reset_order_to_identity();
         ++counters_.reorders;
       }
-      counters_.rebuild_reorder_ns += elapsed_ns(t);
+      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     {
       trace::Scope scope(trace::Phase::kHaloBuild, comm_->rank());
@@ -232,7 +233,7 @@ class MpSim {
         trace::Scope scope(trace::Phase::kBin, comm_->rank());
         Timer t;
         b.grid.bin_parallel(b.store.cpositions(), b.store.size(), *team_);
-        counters_.rebuild_bin_ns += elapsed_ns(t);
+        counters_.rebuild_bin_ns += t.nanoseconds();
       }
       {
         // The one link build (list + color plan + stats, see
@@ -243,12 +244,11 @@ class MpSim {
         build_links_fused(b.links, b.grid, b.store.cpositions(), b.ncore,
                           cfg_.list_radius(), PairDisp<D>{}, *team_,
                           fused_link_scratch_, &counters_);
-        counters_.rebuild_linkgen_ns += elapsed_ns(t);
+        counters_.rebuild_linkgen_ns += t.nanoseconds();
       }
       counters_.halo_particles += b.halo_count();
       counters_.particles += b.ncore;
     }
-    prepare_force_pass();
     ref_pos_.resize(blocks_.size());
     if (cfg_.drift_measured) {
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
@@ -258,6 +258,7 @@ class MpSim {
                                              blocks_[k].ncore));
       }
     }
+    prepare_team_passes();
     // Fresh cost window for the next rebuild interval (and the right size
     // after a block handoff).
     block_cost_ns_.assign(blocks_.size(), 0);
@@ -371,72 +372,35 @@ class MpSim {
   // team at every T.
   bool plain_kernel() const { return team_->size() == 1; }
 
-  // Rebuild-time setup of the force executor: per-block accumulators and,
-  // for the fused passes, the global prefix offsets and color phases.
-  void prepare_force_pass() {
-    if (plain_kernel()) return;
+  // Rebuild-time setup of the team passes: the block set and, off the
+  // plain kernel, per-block accumulators prepared for their sets.
+  void prepare_team_passes() {
     accs_.resize(blocks_.size());
-    // Global prefix offsets of each block's links / core particles, used
-    // by the fused scheme's single static partitions.  The overlapped
-    // fused schedule partitions the core-link and halo-link totals
-    // separately, so those prefixes are kept as well.
-    link_offset_.assign(blocks_.size() + 1, 0);
-    core_offset_.assign(blocks_.size() + 1, 0);
-    core_link_offset_.assign(blocks_.size() + 1, 0);
-    halo_link_offset_.assign(blocks_.size() + 1, 0);
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const LinkList& l = blocks_[k].links;
-      link_offset_[k + 1] =
-          link_offset_[k] + section_size(l, ForceSection::kAll);
-      core_offset_[k + 1] =
-          core_offset_[k] + static_cast<std::int64_t>(blocks_[k].ncore);
-      core_link_offset_[k + 1] =
-          core_link_offset_[k] + section_size(l, ForceSection::kCore);
-      halo_link_offset_[k + 1] =
-          halo_link_offset_[k] + section_size(l, ForceSection::kHalo);
-    }
+    set_.clear();
     for (std::size_t k = 0; k < blocks_.size(); ++k) {
       auto& b = blocks_[k];
-      accs_[k] = make_accumulator<D>(opts_.reduction);
-      if (opts_.steal) {
-        // Survives until the next make_accumulator (i.e. set every rebuild).
-        std::get<ColoredAccumulator<D>>(accs_[k]).set_steal(true);
-      }
-      if (opts_.fused) {
-        std::visit(
-            [&](auto& a) {
-              using T = std::decay_t<decltype(a)>;
-              if constexpr (std::is_same_v<T, SelectedAtomicAccumulator<D>>) {
-                a.prepare_global(team_->size(),
-                                 std::span<const Link>(b.links.links),
-                                 b.links.n_core, b.ncore, link_offset_[k],
-                                 link_offset_.back());
-                if (opts_.overlap) {
-                  a.mark_global_split(team_->size(),
-                                      std::span<const Link>(b.links.links),
-                                      b.links.n_core, core_link_offset_[k],
-                                      core_link_offset_.back(),
-                                      halo_link_offset_[k],
-                                      halo_link_offset_.back());
-                }
-              } else if constexpr (std::is_same_v<T, ColoredAccumulator<D>>) {
-                // The fused colored pass walks global color phases but each
-                // chunk is still a per-block color-plan chunk, so the
-                // per-block prepare supplies everything it needs.
-                a.prepare(team_->size(), b.links, b.ncore);
-              } else {
-                a.prepare(team_->size(), std::span<const Link>(b.links.links),
-                          b.links.n_core, b.ncore);
-              }
-            },
-            accs_[k]);
-      } else {
-        prepare_accumulator<D>(accs_[k], team_->size(), b.links, b.ncore);
-      }
+      set_.push_back({&b.links, &b.store,
+                      plain_kernel() ? nullptr : &accs_[k], b.ncore,
+                      ref_pos_[k]});
     }
-    if (opts_.fused && opts_.reduction == ReductionKind::kColored) {
-      build_fused_color_phases();
+    if (plain_kernel()) return;
+    for (auto& a : accs_) a = make_accumulator<D>(opts_.reduction, opts_.steal);
+    for_each_set([&](std::size_t, std::span<const PassBlock<D>> set) {
+      prepare_force_pass<D>(set, team_->size());
+    });
+  }
+
+  // The block sets of the team passes: all of the rank's blocks in one
+  // set (fused), or one set per block.  f(slot, set) gets the set's
+  // position, which indexes its energy partials in pe_.
+  template <class F>
+  void for_each_set(F&& f) {
+    const std::span<const PassBlock<D>> all(set_);
+    if (opts_.fused) {
+      if (!all.empty()) f(0, all);
+      return;
     }
+    for (std::size_t k = 0; k < all.size(); ++k) f(k, all.subspan(k, 1));
   }
 
   static std::int64_t section_size(const LinkList& l, ForceSection section) {
@@ -454,18 +418,25 @@ class MpSim {
     halo_.finish_swap(blocks_, *comm_, counters_);
   }
 
-  // The force executor: one pass over `section` of every block's links.
-  // Fused, that is one team pass over all blocks; otherwise it runs block
-  // by block.  The energy lands in pe_ as (core, halo) partials, one pair
-  // per block or one pair for the rank's fused pass.
+  // The force executor: one pass over `section` of every block's links,
+  // the team pass over each block set or the plain kernel block by block.
+  // The energy lands in pe_ as (core, halo) partials, one pair per set.
   void force_pass(ForceSection section) {
     trace::Scope scope(trace::Phase::kForce, comm_->rank());
-    if (opts_.fused) {
-      pe_[section == ForceSection::kHalo ? 1 : 0] = fused_force_pass(section);
-    } else {
+    if (plain_kernel()) {
       for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        block_force_pass(k, section);
+        plain_block_pass(k, section);
       }
+    } else {
+      // Halo copies are geometrically shifted, so displacement is plain
+      // xi - xj; PairDisp (not an opaque lambda) keeps the batched
+      // kernel's vector gather phase active.
+      for_each_set([&](std::size_t slot, std::span<const PassBlock<D>> set) {
+        const SectionEnergy e = team_force_pass<D>(
+            *team_, set, model_, PairDisp<D>{}, &counters_, section);
+        pe_[2 * slot] += e.core;
+        pe_[2 * slot + 1] += e.halo;
+      });
     }
     // Links walked per section is the cost signal (links walked ×
     // ns/link — the scale factor cancels out of LPT's relative weights).
@@ -478,19 +449,10 @@ class MpSim {
     }
   }
 
-  // One block's section: the team pass, or the plain kernel at T = 1.
-  void block_force_pass(std::size_t k, ForceSection section) {
+  // One block's section on the plain kernel.
+  void plain_block_pass(std::size_t k, ForceSection section) {
     auto& b = blocks_[k];
-    // Halo copies are geometrically shifted, so displacement is plain
-    // xi - xj; PairDisp (not an opaque lambda) keeps the batched kernel's
-    // vector gather phase active.
     const PairDisp<D> disp{};
-    if (!plain_kernel()) {
-      pe_[2 * k + (section == ForceSection::kHalo ? 1 : 0)] =
-          dispatch_force_pass<D>(accs_[k], *team_, b.links, b.store, model_,
-                                 disp, &counters_, section);
-      return;
-    }
     if (section != ForceSection::kHalo) {
       zero_forces(b.store);
       pe_[2 * k] = accumulate_forces<D>(b.links.core(), b.store, model_, disp,
@@ -503,287 +465,25 @@ class MpSim {
     }
   }
 
-  // The update pass: kick-drift every block's core particles on the team.
-  // Each thread also takes the maximum speed and, under the measured
-  // trigger, the maximum displacement since the last rebuild over its own
-  // particles; a maximum does not depend on order, so both are the bits a
-  // serial scan would give.
+  // The update pass: kick-drift every block's core particles on the team,
+  // one region per block set.  Each thread also takes the maximum speed
+  // and, under the measured trigger, the maximum displacement since the
+  // last rebuild over its own particles.
   void update_positions(double& max_v, double& max_d) {
-    if (opts_.fused) {
-      fused_update_positions(max_v, max_d);
-      return;
-    }
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      auto& b = blocks_[k];
+    for_each_set([&](std::size_t, std::span<const PassBlock<D>> set) {
       double d = 0.0;
-      const double v = smp_update_positions(
-          *team_, b.store, b.ncore, cfg_.dt, cfg_.gravity, boundary_,
-          &counters_, std::span<const Vec<D>>(ref_pos_[k]),
-          cfg_.drift_measured ? &d : nullptr);
-      max_v = std::max(max_v, v);
+      max_v = std::max(max_v, team_update_pass<D>(
+                                  *team_, set, cfg_.dt, cfg_.gravity,
+                                  boundary_, &counters_,
+                                  cfg_.drift_measured ? &d : nullptr));
       max_d = std::max(max_d, d);
-    }
-  }
-
-  // Fused colored schedule (Section 11 proposal × colored reduction): one
-  // parallel region per pass, but instead of one static partition of the
-  // global link range, the pass runs four barrier-separated *global* color
-  // phases — every block's core color 0, then core color 1, then halo
-  // color 0, then halo color 1.  Chunks of different blocks touch
-  // different stores and same-color chunks within a block are
-  // conflict-free by the plan, so every phase is race-free with plain
-  // stores.  Each particle still sees core color 0 before core color 1
-  // before the halo colors — the per-block colored order — so the forces
-  // are bit-identical to the per-block colored driver (and the serial
-  // one).  A block with one color or no halo links simply contributes no
-  // items to the absent phases.
-  struct FusedChunk {
-    std::int32_t block;  // local block position
-    std::int32_t chunk;  // chunk id in that block's color plan
-  };
-
-  void build_fused_color_phases() {
-    for (int ph = 0; ph < 4; ++ph) {
-      fused_items_[ph].clear();
-      fused_weight_[ph].assign(1, 0);
-    }
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const auto& ca = std::get<ColoredAccumulator<D>>(accs_[k]);
-      const bool halo = blocks_[k].links.size() > blocks_[k].links.n_core;
-      for (int color = 0; color < ca.ncolors(); ++color) {
-        for (const int chunk : ca.color_chunks(color)) {
-          const auto [clo, chi] = ca.core_range(chunk);
-          fused_items_[color].push_back(
-              {static_cast<std::int32_t>(k), chunk});
-          fused_weight_[color].push_back(
-              fused_weight_[color].back() +
-              static_cast<std::uint64_t>(chi - clo));
-          if (halo) {
-            const auto [hlo, hhi] = ca.halo_range(chunk);
-            fused_items_[2 + color].push_back(
-                {static_cast<std::int32_t>(k), chunk});
-            fused_weight_[2 + color].push_back(
-                fused_weight_[2 + color].back() +
-                static_cast<std::uint64_t>(hhi - hlo));
-          }
-        }
-      }
-    }
-    // Static per-phase thread bounds, weight-balanced by link count with
-    // the same midpoint rule as ColoredAccumulator::prepare.
-    const auto tsz = static_cast<std::size_t>(team_->size());
-    std::size_t slot = 0;
-    for (int ph = 0; ph < 4; ++ph) {
-      const std::size_t m = fused_items_[ph].size();
-      const std::uint64_t total = fused_weight_[ph].back();
-      auto& bound = fused_bounds_[ph];
-      bound.assign(tsz + 1, m);
-      bound[0] = 0;
-      std::size_t cursor = 0;
-      for (std::size_t t = 1; t < tsz; ++t) {
-        if (total == 0) {
-          cursor = m * t / tsz;
-        } else {
-          const std::uint64_t target = total * t / tsz;
-          while (cursor < m && (fused_weight_[ph][cursor] +
-                                fused_weight_[ph][cursor + 1]) /
-                                       2 <=
-                                   target) {
-            ++cursor;
-          }
-        }
-        bound[t] = cursor;
-      }
-      fused_slot_[ph] = slot;
-      slot += m;
-    }
-    fused_pe_.assign(slot, 0.0);
-  }
-
-  const std::vector<std::int64_t>& section_offsets(ForceSection section) const {
-    switch (section) {
-      case ForceSection::kCore: return core_link_offset_;
-      case ForceSection::kHalo: return halo_link_offset_;
-      case ForceSection::kAll: break;
-    }
-    return link_offset_;
-  }
-
-  // The fused executor (Section 11: "a single parallel loop over all links
-  // in all blocks rather than one loop per block"): one parallel region
-  // per section for the whole rank.  The prologue zeroes every block's
-  // forces and meets at a barrier (a kHalo pass joins the accumulation
-  // instead).  The links then run either as one static partition of the
-  // section's global link range (atomic family; each section partitioned
-  // by its own prefix offsets) or as the section's global color phases
-  // (colored).  The epilogue tallies contacts and evaluations and collects
-  // the accumulators.  Returns the section's potential energy.
-  double fused_force_pass(ForceSection section) {
-    const int t_count = team_->size();
-    const bool colored = opts_.reduction == ReductionKind::kColored;
-    const int ph_lo = section == ForceSection::kHalo ? 2 : 0;
-    const int ph_hi = section == ForceSection::kCore ? 2 : 4;
-    std::array<std::atomic<std::size_t>, 4> cursors{};
-    std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
-    team_->parallel([&](int tid) {
-      if (section != ForceSection::kHalo) {
-        for (auto& b : blocks_) {
-          const auto r = smp::static_block(
-              0, static_cast<std::int64_t>(b.store.size()), tid, t_count);
-          auto frc = b.store.forces();
-          for (std::int64_t i = r.lo; i < r.hi; ++i) {
-            frc[static_cast<std::size_t>(i)] = Vec<D>{};
-          }
-        }
-        team_->barrier();
-      }
-      auto& slot = slots[static_cast<std::size_t>(tid)];
-      if (colored) {
-        fused_color_phases(tid, ph_lo, ph_hi, cursors, slot);
-      } else {
-        fused_link_range(tid, section, slot);
-      }
     });
-    double pe = 0.0;
-    if (colored) {
-      // Per-item energy slots in fixed (phase, item) order: the reported
-      // potential is identical whichever thread ran the item and at any
-      // team size (static or stealing).
-      for (int ph = ph_lo; ph < ph_hi; ++ph) {
-        for (std::size_t k = 0; k < fused_items_[ph].size(); ++k) {
-          pe += fused_pe_[fused_slot_[ph] + k];
-        }
-      }
-      if (counters_.thread_cost_ns.size() < slots.size()) {
-        counters_.thread_cost_ns.resize(slots.size(), 0);
-      }
-      for (std::size_t t = 0; t < slots.size(); ++t) {
-        counters_.thread_cost_ns[t] += slots[t].cost_ns;
-      }
-      counters_.color_barriers +=
-          static_cast<std::uint64_t>(ph_hi - ph_lo - 1);
-    } else {
-      for (const auto& s : slots) pe += s.pe;
-    }
-    for (const auto& s : slots) counters_.contacts += s.contacts;
-    counters_.force_evals +=
-        static_cast<std::uint64_t>(section_offsets(section).back());
-    for (auto& acc : accs_) {
-      std::visit([&](auto& a) { a.collect(counters_); }, acc);
-    }
-    return pe;
-  }
-
-  // One thread's share of the fused colored pass: the global color phases
-  // [ph_lo, ph_hi), barrier-separated, each walked from the static
-  // per-phase bounds or claimed chunk by chunk when stealing.
-  void fused_color_phases(int tid, int ph_lo, int ph_hi,
-                          std::array<std::atomic<std::size_t>, 4>& cursors,
-                          detail::PadSlot& slot) {
-    const auto run_item = [&](int ph, std::size_t k) {
-      const FusedChunk it = fused_items_[ph][k];
-      auto& b = blocks_[static_cast<std::size_t>(it.block)];
-      auto& ca = std::get<ColoredAccumulator<D>>(
-          accs_[static_cast<std::size_t>(it.block)]);
-      const bool halo = ph >= 2;
-      const auto [lo, hi] =
-          halo ? ca.halo_range(it.chunk) : ca.core_range(it.chunk);
-      const auto sink = [&](std::int32_t p, const Vec<D>& f) {
-        ca.add(tid, p, f, b.store);
-      };
-      const Timer rt;
-      fused_pe_[fused_slot_[ph] + k] = batched_pair_links<D>(
-          std::span<const Link>(b.links.links.data() + lo, hi - lo),
-          b.store.positions(), b.store.velocities(), model_, PairDisp<D>{},
-          !halo, halo ? 0.5 : 1.0, slot.contacts, sink);
-      slot.cost_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
-    };
-    for (int ph = ph_lo; ph < ph_hi; ++ph) {
-      if (ph > ph_lo) team_->barrier();
-      if (opts_.steal) {
-        auto& cursor = cursors[static_cast<std::size_t>(ph)];
-        for (;;) {
-          const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (k >= fused_items_[ph].size()) break;
-          run_item(ph, k);
-        }
-      } else {
-        const auto& bound = fused_bounds_[ph];
-        const auto t = static_cast<std::size_t>(tid);
-        for (std::size_t k = bound[t]; k < bound[t + 1]; ++k) run_item(ph, k);
-      }
-    }
-  }
-
-  // One thread's share of the fused atomic-family pass: its static block
-  // of the section's global link range, dispatched into the owning blocks.
-  void fused_link_range(int tid, ForceSection section, detail::PadSlot& slot) {
-    const std::vector<std::int64_t>& offs = section_offsets(section);
-    const auto g = smp::static_block(0, offs.back(), tid, team_->size());
-    for (std::size_t k = 0; k < blocks_.size(); ++k) {
-      const std::int64_t lo = std::max(g.lo, offs[k]);
-      const std::int64_t hi = std::min(g.hi, offs[k + 1]);
-      if (lo >= hi) continue;
-      auto& b = blocks_[k];
-      // Block-local link indices: a kHalo range starts at the block's halo
-      // section, the other sections start at zero.
-      const std::int64_t base =
-          section == ForceSection::kHalo
-              ? static_cast<std::int64_t>(b.links.n_core)
-              : 0;
-      std::visit(
-          [&](auto& a) {
-            slot.pe += fused_force_range<D>(
-                b.links, base + (lo - offs[k]), base + (hi - offs[k]),
-                b.store, model_, a, tid, slot.contacts);
-          },
-          accs_[k]);
-    }
-  }
-
-  // One parallel region over the global core-particle range.
-  void fused_update_positions(double& max_v, double& max_d) {
-    std::vector<detail::PadSlot> slots(
-        static_cast<std::size_t>(team_->size()));
-    const std::int64_t total = core_offset_.back();
-    team_->parallel([&](int tid) {
-      const auto g = smp::static_block(0, total, tid, team_->size());
-      auto& slot = slots[static_cast<std::size_t>(tid)];
-      for (std::size_t k = 0; k < blocks_.size(); ++k) {
-        const std::int64_t lo = std::max(g.lo, core_offset_[k]);
-        const std::int64_t hi = std::min(g.hi, core_offset_[k + 1]);
-        if (lo >= hi) continue;
-        const auto first = static_cast<std::size_t>(lo - core_offset_[k]);
-        const auto count = static_cast<std::size_t>(hi - lo);
-        auto& store = blocks_[k].store;
-        slot.max_v = std::max(
-            slot.max_v, kick_drift_range(store, first, first + count, cfg_.dt,
-                                         cfg_.gravity, boundary_, nullptr));
-        if (cfg_.drift_measured) {
-          slot.max_d = std::max(
-              slot.max_d,
-              max_displacement<D>(
-                  store.cpositions().subspan(first, count),
-                  std::span<const Vec<D>>(ref_pos_[k]).subspan(first, count),
-                  count));
-        }
-      }
-    });
-    for (const auto& s : slots) {
-      max_v = std::max(max_v, s.max_v);
-      max_d = std::max(max_d, s.max_d);
-    }
-    counters_.position_updates += static_cast<std::uint64_t>(total);
   }
 
   static std::array<bool, D> no_wrap() {
     std::array<bool, D> w{};
     w.fill(false);
     return w;
-  }
-
-  static std::uint64_t elapsed_ns(const Timer& t) {
-    return static_cast<std::uint64_t>(t.seconds() * 1e9);
   }
 
   double reduce_energy(double local) {
@@ -811,24 +511,12 @@ class MpSim {
   std::unique_ptr<smp::ThreadTeam> team_;
   std::vector<AnyAccumulator<D>> accs_;
   std::vector<BlockDomain<D>> blocks_;
+  // The blocks as the team passes take them, rebuilt at every rebuild.
+  std::vector<PassBlock<D>> set_;
   FusedBuildScratch fused_link_scratch_;  // link build, reused per block
-  // Global prefix offsets for the fused scheme's single static partitions
-  // (whole list, plus the overlapped schedule's per-section partitions).
-  std::vector<std::int64_t> link_offset_;
-  std::vector<std::int64_t> core_offset_;
-  std::vector<std::int64_t> core_link_offset_;
-  std::vector<std::int64_t> halo_link_offset_;
   // Per-step (core, halo) potential-energy partials, one pair per block
-  // (one pair for a fused pass), summed in order by step().
+  // set, summed in order by step().
   std::vector<double> pe_;
-  // Fused colored schedule: per-global-phase item lists (phase = 2*is_halo
-  // + color), prefix link weights, static thread bounds, and the per-item
-  // potential-energy slots with their per-phase base offsets.
-  std::array<std::vector<FusedChunk>, 4> fused_items_;
-  std::array<std::vector<std::uint64_t>, 4> fused_weight_;
-  std::array<std::vector<std::size_t>, 4> fused_bounds_;
-  std::array<std::size_t, 4> fused_slot_{};
-  std::vector<double> fused_pe_;
   // Per-block step cost accumulated since the last rebuild, in links
   // walked (the cost model's dominant term and, unlike a wall-clock
   // timing, identical across runs, ranks and team sizes — the rebalancer

@@ -59,9 +59,8 @@ class SmpSim {
         team_(make_team(nthreads, reduction, steal)),
         reduction_kind_(reduction),
         steal_(steal),
-        acc_(make_accumulator<D>(reduction)) {
+        acc_(make_accumulator<D>(reduction, steal)) {
     cfg_.validate();
-    if (steal) std::get<ColoredAccumulator<D>>(acc_).set_steal(true);
     store_.reserve(particles.size());
     for (std::size_t i = 0; i < particles.size(); ++i) {
       store_.push_back(particles[i].pos, particles[i].vel,
@@ -141,10 +140,11 @@ class SmpSim {
     double max_d = 0.0;
     {
       trace::Scope scope(trace::Phase::kUpdate);
-      max_v = smp_update_positions(
-          *team_, store_, store_.size(), cfg_.dt, cfg_.gravity, boundary_,
-          &counters_, std::span<const Vec<D>>(ref_pos_),
-          cfg_.drift_measured ? &max_d : nullptr);
+      const PassBlock<D> self{&links_, &store_, &acc_, store_.size(),
+                              ref_pos_};
+      max_v = team_update_pass<D>(*team_, {&self, 1}, cfg_.dt, cfg_.gravity,
+                                  boundary_, &counters_,
+                                  cfg_.drift_measured ? &max_d : nullptr);
     }
     drift_.advance(max_v, [&] { return max_d; });
     ++counters_.iterations;
@@ -179,7 +179,7 @@ class SmpSim {
       // one-cell stencil still covers rc + skin.
       grid_.configure(Vec<D>{}, cfg_.box, cfg_.binning_radius(), wrap_flags());
       grid_.bin_parallel(store_.cpositions(), store_.size(), *team_);
-      counters_.rebuild_bin_ns += elapsed_ns(t);
+      counters_.rebuild_bin_ns += t.nanoseconds();
     }
     if (cfg_.reorder) {
       trace::Scope scope(trace::Phase::kReorder);
@@ -189,7 +189,7 @@ class SmpSim {
       grid_.reset_order_to_identity();
       index_of_id_stale_ = true;
       ++counters_.reorders;
-      counters_.rebuild_reorder_ns += elapsed_ns(t);
+      counters_.rebuild_reorder_ns += t.nanoseconds();
     }
     {
       trace::Scope scope(trace::Phase::kLinkGen);
@@ -199,7 +199,7 @@ class SmpSim {
       build_links_fused(links_, grid_, store_.cpositions(), store_.size(),
                         cfg_.list_radius(), boundary_.pair_disp(), *team_,
                         fused_scratch_, &counters_);
-      counters_.rebuild_linkgen_ns += elapsed_ns(t);
+      counters_.rebuild_linkgen_ns += t.nanoseconds();
     }
     if (!plain_kernel()) {
       prepare_accumulator<D>(acc_, team_->size(), links_, store_.size());
@@ -262,10 +262,6 @@ class SmpSim {
     std::array<bool, D> w{};
     w.fill(boundary_.periodic());
     return w;
-  }
-
-  static std::uint64_t elapsed_ns(const Timer& t) {
-    return static_cast<std::uint64_t>(t.seconds() * 1e9);
   }
 
   double bond_forces(const PairDisp<D>& disp) {

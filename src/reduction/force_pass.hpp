@@ -1,17 +1,27 @@
-// Threaded force loop over the link list.
+// The team passes: the threaded force loop over the link lists of a block
+// set, and the threaded position update over its particles.
 //
 // "The force loop is parallelised over links, the update of positions is
 // parallelised over particles ... Load balance can be achieved in all
 // cases using a static schedule."  One parallel region per pass: the team
-// zeroes the global force array, runs the static-block link loop feeding a
-// force-accumulation strategy, and the strategy performs whatever merge
-// phase it needs (barriers, critical sections, striped reductions) before
-// the implicit join.
+// zeroes every block's force array, runs the set's links feeding each
+// block's force-accumulation strategy, and the strategies perform whatever
+// merge phase they need (barriers, critical sections, striped reductions)
+// before the implicit join.
+//
+// A block set is what one region covers.  The undecomposed driver passes
+// its one domain, the per-block hybrid driver each block in turn, and the
+// fused hybrid all of a rank's blocks at once — the paper's Section 11
+// proposal, "a single parallel loop over all links in all blocks rather
+// than one loop per block".  Over one block the set passes are the classic
+// per-block loops, so the fused scheme over one block is the per-block
+// scheme by construction.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <variant>
 #include <vector>
@@ -31,7 +41,8 @@ namespace hdem {
 
 namespace detail {
 struct alignas(64) PadSlot {
-  double pe = 0.0;
+  double core_pe = 0.0;
+  double halo_pe = 0.0;
   double max_v = 0.0;
   double max_d = 0.0;
   std::uint64_t contacts = 0;
@@ -39,281 +50,6 @@ struct alignas(64) PadSlot {
 };
 }  // namespace detail
 
-// Which slice of the link list a force pass traverses.  The overlapped
-// halo schedule runs one kCore pass while halo messages are in flight
-// (core links never touch halo data) and one kHalo pass after the swap
-// completes; kAll is the classic single-pass schedule.  Per section the
-// static partitions are identical in both schedules, so a kCore pass
-// followed by a kHalo pass accumulates every force in exactly the same
-// per-thread order as one kAll pass.
-enum class ForceSection : std::uint8_t { kAll, kCore, kHalo };
-
-// Returns the potential energy of the traversed links (core links at full
-// weight, replicated core-halo links at half weight).  A kHalo pass joins
-// an ongoing accumulation: it skips the force zeroing (the kCore pass did
-// it) and adds the halo-link contributions on top.
-template <int D, class Model, class Disp, class Accum>
-double smp_force_pass(smp::ThreadTeam& team, const LinkList& list,
-                      ParticleStore<D>& store, const Model& model,
-                      Disp&& disp, Accum& acc, Counters* counters = nullptr,
-                      ForceSection section = ForceSection::kAll) {
-  const int t_count = team.size();
-  std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
-  const auto n = static_cast<std::int64_t>(store.size());
-  const auto n_core_links = static_cast<std::int64_t>(list.n_core);
-  const auto n_links = static_cast<std::int64_t>(list.size());
-
-  // Phases this pass will execute under the colored schedule (identical
-  // for every thread); the in-pass barriers it pays is one fewer.
-  std::uint64_t color_barriers = 0;
-  if constexpr (requires { Accum::kColoredSchedule; }) {
-    int executed = 0;
-    for (int ph = 0; ph < acc.phase_count(); ++ph) {
-      const bool halo = acc.phase_is_halo(ph);
-      if ((section == ForceSection::kCore && halo) ||
-          (section == ForceSection::kHalo && !halo)) {
-        continue;
-      }
-      ++executed;
-    }
-    color_barriers = executed > 0 ? static_cast<std::uint64_t>(executed - 1) : 0;
-  }
-
-  // Stealing-schedule shared state: one claim cursor per phase (phases are
-  // barrier-separated inside the single region, so a phase's cursor is
-  // quiescent before any thread reads it) and one potential-energy slot
-  // per (phase, chunk position).  Per-chunk slots summed in fixed order
-  // keep the reported energy deterministic at any team size — per-thread
-  // sums would be shaped by the nondeterministic claiming order.
-  bool steal_mode = false;
-  std::unique_ptr<std::atomic<std::size_t>[]> steal_cursors;
-  std::vector<std::size_t> chunk_slot;
-  std::vector<double> chunk_pe;
-  if constexpr (requires { Accum::kColoredSchedule; }) {
-    if (acc.stealing()) {
-      steal_mode = true;
-      const auto nph = static_cast<std::size_t>(acc.phase_count());
-      steal_cursors = std::make_unique<std::atomic<std::size_t>[]>(nph);
-      chunk_slot.assign(nph + 1, 0);
-      for (std::size_t ph = 0; ph < nph; ++ph) {
-        chunk_slot[ph + 1] =
-            chunk_slot[ph] +
-            acc.color_chunks(acc.phase_color(static_cast<int>(ph))).size();
-      }
-      chunk_pe.assign(chunk_slot.back(), 0.0);
-    }
-  }
-
-  team.parallel([&](int tid) {
-    // Zero the global force array (parallel over particles, halos too).
-    if (section != ForceSection::kHalo) {
-      const auto r = smp::static_block(0, n, tid, t_count);
-      auto frc = store.forces();
-      for (std::int64_t i = r.lo; i < r.hi; ++i) {
-        frc[static_cast<std::size_t>(i)] = Vec<D>{};
-      }
-    }
-    acc.thread_begin(tid, store);
-    if (section != ForceSection::kHalo) {
-      team.barrier();  // zeroing complete before any accumulation
-    }
-
-    auto pos = store.positions();
-    auto vel = store.velocities();
-    double my_pe = 0.0;
-    std::uint64_t my_contacts = 0;
-    std::uint64_t my_ns = 0;
-
-    const auto sink = [&](std::int32_t p, const Vec<D>& f) {
-      acc.add(tid, p, f, store);
-    };
-    auto run = [&](std::size_t lo, std::size_t hi, bool update_both,
-                   double pe_weight) {
-      const Timer rt;
-      const double v = batched_pair_links<D>(
-          std::span<const Link>(list.links.data() + lo, hi - lo), pos, vel,
-          model, disp, update_both, pe_weight, my_contacts, sink);
-      my_ns += static_cast<std::uint64_t>(rt.seconds() * 1e9);
-      my_pe += v;
-      return v;
-    };
-
-    if constexpr (requires { Accum::kColoredSchedule; }) {
-      // Phased conflict-free traversal: within a phase each thread's
-      // chunks write disjoint particle sets, so every add is a plain
-      // store; the barrier separates phases whose write regions overlap.
-      // A section pass filters to its phases; the region join between a
-      // kCore and a kHalo pass replaces the barrier that would have
-      // separated them.
-      const int nph = acc.phase_count();
-      bool ran_phase = false;
-      for (int ph = 0; ph < nph; ++ph) {
-        const bool halo = acc.phase_is_halo(ph);
-        if ((section == ForceSection::kCore && halo) ||
-            (section == ForceSection::kHalo && !halo)) {
-          continue;
-        }
-        if (ran_phase) team.barrier();
-        ran_phase = true;
-        if (steal_mode) {
-          // Claim chunk positions from the phase's cursor.  Within a
-          // color every particle belongs to at most one chunk and each
-          // position is claimed exactly once, so neither the claiming
-          // thread nor the claiming order can change any particle's
-          // accumulation order — forces are bit-identical to the static
-          // schedule.
-          const auto cs = acc.color_chunks(acc.phase_color(ph));
-          auto& cursor = steal_cursors[static_cast<std::size_t>(ph)];
-          for (;;) {
-            const std::size_t k = cursor.fetch_add(1, std::memory_order_relaxed);
-            if (k >= cs.size()) break;
-            const int chunk = cs[k];
-            const auto [lo, hi] =
-                halo ? acc.halo_range(chunk) : acc.core_range(chunk);
-            chunk_pe[chunk_slot[static_cast<std::size_t>(ph)] + k] =
-                run(lo, hi, !halo, halo ? 0.5 : 1.0);
-          }
-        } else {
-          for (const int chunk : acc.thread_chunks(acc.phase_color(ph), tid)) {
-            const auto [lo, hi] =
-                halo ? acc.halo_range(chunk) : acc.core_range(chunk);
-            run(lo, hi, !halo, halo ? 0.5 : 1.0);
-          }
-        }
-      }
-    } else {
-      if (section != ForceSection::kHalo) {
-        const auto rc = smp::static_block(0, n_core_links, tid, t_count);
-        run(static_cast<std::size_t>(rc.lo), static_cast<std::size_t>(rc.hi),
-            true, 1.0);
-      }
-      if (section != ForceSection::kCore) {
-        const auto rh = smp::static_block(n_core_links, n_links, tid, t_count);
-        run(static_cast<std::size_t>(rh.lo), static_cast<std::size_t>(rh.hi),
-            false, 0.5);
-      }
-    }
-
-    acc.thread_finish(team, tid, store);
-    slots[static_cast<std::size_t>(tid)].pe = my_pe;
-    slots[static_cast<std::size_t>(tid)].contacts = my_contacts;
-    slots[static_cast<std::size_t>(tid)].cost_ns = my_ns;
-  });
-
-  double pe = 0.0;
-  std::uint64_t contacts = 0;
-  for (const auto& s : slots) {
-    pe += s.pe;
-    contacts += s.contacts;
-  }
-  if (steal_mode) {
-    // Fixed (phase, chunk) summation order, independent of who claimed
-    // what; unexecuted phases of a section pass contribute zero slots.
-    pe = 0.0;
-    for (const double v : chunk_pe) pe += v;
-  }
-  if (counters != nullptr) {
-    if (counters->thread_cost_ns.size() < static_cast<std::size_t>(t_count)) {
-      counters->thread_cost_ns.resize(static_cast<std::size_t>(t_count), 0);
-    }
-    for (int t = 0; t < t_count; ++t) {
-      counters->thread_cost_ns[static_cast<std::size_t>(t)] +=
-          slots[static_cast<std::size_t>(t)].cost_ns;
-    }
-    acc.collect(*counters);
-    counters->color_barriers += color_barriers;
-    switch (section) {
-      case ForceSection::kAll: counters->force_evals += list.size(); break;
-      case ForceSection::kCore: counters->force_evals += list.n_core; break;
-      case ForceSection::kHalo:
-        counters->force_evals += list.size() - list.n_core;
-        break;
-    }
-    counters->contacts += contacts;
-  }
-  return pe;
-}
-
-// Threaded position update ("the update of positions is parallelised over
-// particles"); returns the maximum particle speed across the team.  With
-// max_disp, each thread also measures how far its freshly updated
-// particles have moved from `ref` (their rebuild-time positions) and
-// *max_disp receives the team maximum: max is order-independent, so that
-// is max_displacement() over the whole range, bit for bit.
-template <int D>
-double smp_update_positions(smp::ThreadTeam& team, ParticleStore<D>& store,
-                            std::size_t ncore, double dt,
-                            const Vec<D>& gravity, const Boundary<D>& bc,
-                            Counters* counters = nullptr,
-                            std::span<const Vec<D>> ref = {},
-                            double* max_disp = nullptr) {
-  const int t_count = team.size();
-  std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
-  team.parallel_for(
-      0, static_cast<std::int64_t>(ncore),
-      [&](int tid, std::int64_t lo, std::int64_t hi) {
-        auto& slot = slots[static_cast<std::size_t>(tid)];
-        const auto first = static_cast<std::size_t>(lo);
-        const auto count = static_cast<std::size_t>(hi - lo);
-        slot.max_v = kick_drift_range(store, first, first + count, dt,
-                                      gravity, bc, nullptr);
-        if (max_disp != nullptr) {
-          slot.max_d = max_displacement<D>(
-              store.cpositions().subspan(first, count),
-              ref.subspan(first, count), count);
-        }
-      });
-  double max_v = 0.0;
-  double max_d = 0.0;
-  for (const auto& s : slots) {
-    if (s.max_v > max_v) max_v = s.max_v;
-    if (s.max_d > max_d) max_d = s.max_d;
-  }
-  if (max_disp != nullptr) *max_disp = max_d;
-  if (counters != nullptr) counters->position_updates += ncore;
-  return max_v;
-}
-
-// Fused-hybrid helper (the paper's Section 11 proposal): process one
-// block's links [lo, hi) — indices local to the block's list — inside an
-// already-open parallel region, feeding the block's accumulator.  Returns
-// the potential energy of the processed links (half weight for core-halo
-// links) and tallies contacts.
-template <int D, class Model, class Accum>
-double fused_force_range(const LinkList& list, std::int64_t lo,
-                         std::int64_t hi, ParticleStore<D>& store,
-                         const Model& model, Accum& acc, int tid,
-                         std::uint64_t& contacts) {
-  auto pos = store.positions();
-  auto vel = store.velocities();
-  const auto n_core = static_cast<std::int64_t>(list.n_core);
-  // Blocks see shifted halo copies, so displacement is plain xi - xj; the
-  // non-periodic PairDisp keeps the kernel's vector gather phase active.
-  const PairDisp<D> disp{};
-  const auto sink = [&](std::int32_t p, const Vec<D>& f) {
-    acc.add(tid, p, f, store);
-  };
-  // The range may straddle the core/halo boundary; each side runs through
-  // the batched kernel with its own update/weight mode.
-  double pe = 0.0;
-  const std::int64_t core_hi = std::min(hi, n_core);
-  if (lo < core_hi) {
-    pe += batched_pair_links<D>(
-        std::span<const Link>(list.links.data() + lo,
-                              static_cast<std::size_t>(core_hi - lo)),
-        pos, vel, model, disp, true, 1.0, contacts, sink);
-  }
-  const std::int64_t halo_lo = std::max(lo, n_core);
-  if (halo_lo < hi) {
-    pe += batched_pair_links<D>(
-        std::span<const Link>(list.links.data() + halo_lo,
-                              static_cast<std::size_t>(hi - halo_lo)),
-        pos, vel, model, disp, false, 0.5, contacts, sink);
-  }
-  return pe;
-}
-
-// ---------------------------------------------------------------------------
 // Runtime strategy selection.
 template <int D>
 using AnyAccumulator =
@@ -323,7 +59,7 @@ using AnyAccumulator =
                  ColoredAccumulator<D>>;
 
 template <int D>
-AnyAccumulator<D> make_accumulator(ReductionKind kind) {
+AnyAccumulator<D> make_accumulator(ReductionKind kind, bool steal = false) {
   switch (kind) {
     case ReductionKind::kAtomicAll: return AtomicAllAccumulator<D>{};
     case ReductionKind::kSelectedAtomic: return SelectedAtomicAccumulator<D>{};
@@ -331,26 +67,421 @@ AnyAccumulator<D> make_accumulator(ReductionKind kind) {
     case ReductionKind::kStripe: return StripeAccumulator<D>{};
     case ReductionKind::kTranspose: return TransposeAccumulator<D>{};
     case ReductionKind::kNoLock: return NoLockAccumulator<D>{};
-    case ReductionKind::kColored: return ColoredAccumulator<D>{};
+    case ReductionKind::kColored: {
+      ColoredAccumulator<D> a;
+      a.set_steal(steal);
+      return a;
+    }
   }
   return AtomicAllAccumulator<D>{};
 }
 
+// One block of a block set: its link list, the particle store the list
+// indexes (the first ncore particles are the block's own, any others halo
+// copies), its accumulator, and the rebuild-time positions of its core
+// particles that the update pass measures drift against (empty when the
+// measured trigger is off).  Every block of a set holds the same strategy.
+template <int D>
+struct PassBlock {
+  const LinkList* list = nullptr;
+  ParticleStore<D>* store = nullptr;
+  AnyAccumulator<D>* acc = nullptr;
+  std::size_t ncore = 0;
+  std::span<const Vec<D>> ref{};
+};
+
+// Which slice of the link lists a force pass traverses.  The overlapped
+// halo schedule runs one kCore pass while halo messages are in flight
+// (core links never touch halo data) and one kHalo pass after the swap
+// completes; kAll is the synchronous single-pass schedule.  Per section
+// the partitions are identical in both schedules, so a kCore pass followed
+// by a kHalo pass accumulates every force in exactly the same per-thread
+// order as one kAll pass.
+enum class ForceSection : std::uint8_t { kAll, kCore, kHalo };
+
+// A pass's potential energy: its core links at full weight and its
+// replicated core-halo links at half weight, kept apart so that the
+// synchronous and the overlapped schedules report the same bits.
+struct SectionEnergy {
+  double core = 0.0;
+  double halo = 0.0;
+};
+
+// The colored pass's schedule over a block set: up to four global phases,
+// core color 0, core color 1, halo color 0 and halo color 1, run in that
+// order with a barrier between any two.  A phase lists every block's
+// chunks of its color, block by block and by chunk id within a block; a
+// block with one color or no halo links has nothing in the phases it
+// lacks, and an empty phase is skipped.  Chunks of one color write
+// disjoint particles within a block, and blocks own disjoint stores, so
+// any thread may run any item of a phase.  The static schedule cuts each
+// phase into contiguous runs balanced by link count (a chunk goes left of
+// a cut iff its weight midpoint does); the stealing schedule claims items
+// from a per-phase cursor.  Either way each particle sees the phases in
+// the serial order, so forces have the same bits at every T.
+struct ColorSchedule {
+  struct Item {
+    std::size_t block;  // position in the set
+    int chunk;          // chunk id in that block's color plan
+  };
+  std::vector<Item> items;  // phase-major
+  // Phase ph holds items [first[ph], first[ph + 1]).
+  std::array<std::size_t, 5> first{};
+  int team_size = 1;
+  // Thread t's run of phase ph: items [run_begin(ph, t), run_end(ph, t)).
+  std::vector<std::size_t> cuts;
+
+  std::size_t run_begin(int ph, int tid) const {
+    return cuts[static_cast<std::size_t>(ph * (team_size + 1) + tid)];
+  }
+  std::size_t run_end(int ph, int tid) const { return run_begin(ph, tid + 1); }
+};
+
+// Link range of one chunk in one section of a block's list.
+inline std::pair<std::size_t, std::size_t> chunk_range(const LinkList& list,
+                                                       int chunk, bool halo) {
+  const auto c = static_cast<std::size_t>(chunk);
+  return halo ? std::pair{list.plan.halo_lo[c], list.plan.halo_hi[c]}
+              : std::pair{list.plan.core_lo[c], list.plan.core_hi[c]};
+}
+
+template <int D>
+ColorSchedule color_schedule(std::span<const PassBlock<D>> set, int team_size,
+                             ForceSection section = ForceSection::kAll) {
+  ColorSchedule s;
+  s.team_size = team_size;
+  const auto t_count = static_cast<std::size_t>(team_size);
+  s.cuts.assign(4 * (t_count + 1), 0);
+  for (int ph = 0; ph < 4; ++ph) {
+    const bool halo = ph >= 2;
+    const int color = ph & 1;
+    const std::size_t lo = s.items.size();
+    s.first[static_cast<std::size_t>(ph)] = lo;
+    if (section == ForceSection::kAll ||
+        section == (halo ? ForceSection::kHalo : ForceSection::kCore)) {
+      for (std::size_t k = 0; k < set.size(); ++k) {
+        const LinkList& list = *set[k].list;
+        if (color >= list.plan.ncolors ||
+            (halo && list.size() == list.n_core)) {
+          continue;
+        }
+        for (int c = color; c < list.plan.nchunks; c += list.plan.ncolors) {
+          s.items.push_back({k, c});
+        }
+      }
+    }
+    const std::size_t m = s.items.size() - lo;
+    const auto weight = [&](std::size_t i) -> std::uint64_t {
+      const auto& it = s.items[lo + i];
+      const auto [a, b] = chunk_range(*set[it.block].list, it.chunk, halo);
+      return b - a;
+    };
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < m; ++i) total += weight(i);
+    std::size_t* cut =
+        s.cuts.data() + static_cast<std::size_t>(ph) * (t_count + 1);
+    std::size_t cursor = 0;
+    std::uint64_t before = 0;  // weight of items [0, cursor)
+    for (std::size_t t = 1; t < t_count; ++t) {
+      if (total == 0) {
+        cursor = m * t / t_count;  // weightless phase: split by item count
+      } else {
+        const std::uint64_t target = total * t / t_count;
+        while (cursor < m && (2 * before + weight(cursor)) / 2 <= target) {
+          before += weight(cursor++);
+        }
+      }
+      cut[t] = lo + cursor;
+    }
+    cut[0] = lo;
+    cut[t_count] = lo + m;
+  }
+  s.first[4] = s.items.size();
+  return s;
+}
+
+// A set's core and halo link counts, as the placement of its first block.
+template <int D>
+SectionPlacement set_totals(std::span<const PassBlock<D>> set) {
+  SectionPlacement at;
+  for (const auto& b : set) {
+    at.core_total += static_cast<std::int64_t>(b.list->n_core);
+    at.halo_total += static_cast<std::int64_t>(b.list->size());
+  }
+  at.halo_total -= at.core_total;
+  return at;
+}
+
+// Rebuild-time setup of a block set's accumulators.
+template <int D>
+void prepare_force_pass(std::span<const PassBlock<D>> set, int team_size) {
+  SectionPlacement at = set_totals<D>(set);
+  for (const auto& b : set) {
+    std::visit([&](auto& a) { a.prepare(team_size, *b.list, b.ncore, at); },
+               *b.acc);
+    at.core_offset += static_cast<std::int64_t>(b.list->n_core);
+    at.halo_offset += static_cast<std::int64_t>(b.list->size()) -
+                      static_cast<std::int64_t>(b.list->n_core);
+  }
+}
+
+namespace detail {
+
+// The force pass with the strategy type fixed.  Colored sets run their
+// ColorSchedule and keep one energy slot per chunk; the other strategies
+// split the set's core links into one static block per thread, and its
+// halo links likewise, and keep one energy slot per thread.  Either way
+// the slots are summed in a fixed order.
+template <class Acc, int D, class Model, class Disp>
+SectionEnergy force_pass_as(smp::ThreadTeam& team,
+                            std::span<const PassBlock<D>> set,
+                            const Model& model, const Disp& disp,
+                            Counters* counters, ForceSection section) {
+  constexpr bool colored = requires { Acc::kColoredSchedule; };
+  const int t_count = team.size();
+  std::vector<PadSlot> slots(static_cast<std::size_t>(t_count));
+  const auto acc = [&](std::size_t k) -> Acc& {
+    return std::get<Acc>(*set[k].acc);
+  };
+  const SectionPlacement totals = set_totals<D>(set);
+
+  ColorSchedule sched;
+  std::vector<double> chunk_pe;
+  std::array<std::atomic<std::size_t>, 4> cursors{};
+  bool steal = false;
+  if constexpr (colored) {
+    sched = color_schedule<D>(set, t_count, section);
+    chunk_pe.assign(sched.items.size(), 0.0);
+    steal = acc(0).stealing();
+  }
+
+  team.parallel([&](int tid) {
+    if (section != ForceSection::kHalo) {
+      for (const auto& b : set) {
+        const auto r = smp::static_block(
+            0, static_cast<std::int64_t>(b.store->size()), tid, t_count);
+        auto frc = b.store->forces();
+        for (std::int64_t i = r.lo; i < r.hi; ++i) {
+          frc[static_cast<std::size_t>(i)] = Vec<D>{};
+        }
+      }
+    }
+    for (std::size_t k = 0; k < set.size(); ++k) {
+      acc(k).thread_begin(tid, *set[k].store);
+    }
+    if (section != ForceSection::kHalo) {
+      team.barrier();  // zeroing complete before any accumulation
+    }
+
+    // Thread-local tallies: the kernel bumps `contacts` per contact, which
+    // a heap slot would have to reload after every accumulator store.
+    std::uint64_t contacts = 0;
+    std::uint64_t cost_ns = 0;
+    // Links [lo, hi) of block k, all core or all halo.
+    const auto run = [&](std::size_t k, std::size_t lo, std::size_t hi,
+                         bool halo) {
+      ParticleStore<D>& store = *set[k].store;
+      Acc& a = acc(k);
+      const auto sink = [&](std::int32_t p, const Vec<D>& f) {
+        a.add(tid, p, f, store);
+      };
+      const Timer rt;
+      const double v = batched_pair_links<D>(
+          std::span<const Link>(set[k].list->links.data() + lo, hi - lo),
+          store.positions(), store.velocities(), model, disp, !halo,
+          halo ? 0.5 : 1.0, contacts, sink);
+      cost_ns += rt.nanoseconds();
+      return v;
+    };
+    auto& slot = slots[static_cast<std::size_t>(tid)];
+
+    if constexpr (colored) {
+      // Within a phase each item writes particles no other item of the
+      // phase writes, so every add is a plain store; the barrier separates
+      // phases whose write sets overlap.  A section pass runs its own
+      // phases only: the region join between a kCore and a kHalo pass
+      // stands in for the barrier between their phases.
+      bool ran_phase = false;
+      for (int ph = 0; ph < 4; ++ph) {
+        const auto ph_lo = sched.first[static_cast<std::size_t>(ph)];
+        const auto ph_hi = sched.first[static_cast<std::size_t>(ph) + 1];
+        if (ph_lo == ph_hi) continue;
+        if (ran_phase) team.barrier();
+        ran_phase = true;
+        const bool halo = ph >= 2;
+        const auto run_item = [&](std::size_t i) {
+          const auto& it = sched.items[i];
+          const auto [lo, hi] =
+              chunk_range(*set[it.block].list, it.chunk, halo);
+          chunk_pe[i] = run(it.block, lo, hi, halo);
+        };
+        if (steal) {
+          auto& cursor = cursors[static_cast<std::size_t>(ph)];
+          for (;;) {
+            const std::size_t i =
+                ph_lo + cursor.fetch_add(1, std::memory_order_relaxed);
+            if (i >= ph_hi) break;
+            run_item(i);
+          }
+        } else {
+          for (std::size_t i = sched.run_begin(ph, tid);
+               i < sched.run_end(ph, tid); ++i) {
+            run_item(i);
+          }
+        }
+      }
+    } else {
+      // This thread's static block of the section's set-wide link range,
+      // dispatched into the blocks it overlaps.
+      const auto share = [&](bool halo, std::int64_t total) {
+        double pe = 0.0;
+        const auto g = smp::static_block(0, total, tid, t_count);
+        std::int64_t off = 0;
+        for (std::size_t k = 0; k < set.size() && off < g.hi; ++k) {
+          const LinkList& list = *set[k].list;
+          const auto ncore = static_cast<std::int64_t>(list.n_core);
+          const std::int64_t n =
+              halo ? static_cast<std::int64_t>(list.size()) - ncore : ncore;
+          const std::int64_t lo = std::max(g.lo, off) - off;
+          const std::int64_t hi = std::min(g.hi, off + n) - off;
+          off += n;
+          if (lo >= hi) continue;
+          const std::int64_t base = halo ? ncore : 0;
+          pe += run(k, static_cast<std::size_t>(base + lo),
+                    static_cast<std::size_t>(base + hi), halo);
+        }
+        return pe;
+      };
+      if (section != ForceSection::kHalo) {
+        slot.core_pe = share(false, totals.core_total);
+      }
+      if (section != ForceSection::kCore) {
+        slot.halo_pe = share(true, totals.halo_total);
+      }
+    }
+
+    for (std::size_t k = 0; k < set.size(); ++k) {
+      acc(k).thread_finish(team, tid, *set[k].store);
+    }
+    slot.contacts = contacts;
+    slot.cost_ns = cost_ns;
+  });
+
+  SectionEnergy e;
+  std::uint64_t contacts = 0;
+  for (const auto& s : slots) {
+    e.core += s.core_pe;
+    e.halo += s.halo_pe;
+    contacts += s.contacts;
+  }
+  std::uint64_t phases = 0;
+  if constexpr (colored) {
+    // Fixed (phase, item) order, independent of who ran what.
+    for (std::size_t i = 0; i < chunk_pe.size(); ++i) {
+      (i < sched.first[2] ? e.core : e.halo) += chunk_pe[i];
+    }
+    for (std::size_t ph = 0; ph < 4; ++ph) {
+      if (sched.first[ph] < sched.first[ph + 1]) ++phases;
+    }
+  }
+  if (counters != nullptr) {
+    if (counters->thread_cost_ns.size() < slots.size()) {
+      counters->thread_cost_ns.resize(slots.size(), 0);
+    }
+    for (std::size_t t = 0; t < slots.size(); ++t) {
+      counters->thread_cost_ns[t] += slots[t].cost_ns;
+    }
+    for (std::size_t k = 0; k < set.size(); ++k) acc(k).collect(*counters);
+    if (phases > 0) counters->color_barriers += phases - 1;
+    if (section != ForceSection::kHalo) {
+      counters->force_evals += static_cast<std::uint64_t>(totals.core_total);
+    }
+    if (section != ForceSection::kCore) {
+      counters->force_evals += static_cast<std::uint64_t>(totals.halo_total);
+    }
+    counters->contacts += contacts;
+  }
+  return e;
+}
+
+}  // namespace detail
+
+// The team force pass over `section` of a non-empty block set's links
+// (prepared by prepare_force_pass since the last rebuild).
+template <int D, class Model, class Disp>
+SectionEnergy team_force_pass(smp::ThreadTeam& team,
+                              std::span<const PassBlock<D>> set,
+                              const Model& model, const Disp& disp,
+                              Counters* counters = nullptr,
+                              ForceSection section = ForceSection::kAll) {
+  return std::visit(
+      [&](auto& a) {
+        return detail::force_pass_as<std::decay_t<decltype(a)>, D>(
+            team, set, model, disp, counters, section);
+      },
+      *set.front().acc);
+}
+
+// The team update pass ("the update of positions is parallelised over
+// particles"): a static block of the set's core particles per thread,
+// kick-drifted block by block.  Returns the maximum particle speed; with
+// max_disp, each thread also measures how far its particles have moved
+// from their blocks' `ref` positions and *max_disp receives the maximum.
+// A maximum does not depend on order, so both are the bits of a serial
+// scan.
+template <int D>
+double team_update_pass(smp::ThreadTeam& team,
+                        std::span<const PassBlock<D>> set, double dt,
+                        const Vec<D>& gravity, const Boundary<D>& bc,
+                        Counters* counters = nullptr,
+                        double* max_disp = nullptr) {
+  const int t_count = team.size();
+  std::vector<detail::PadSlot> slots(static_cast<std::size_t>(t_count));
+  std::int64_t total = 0;
+  for (const auto& b : set) total += static_cast<std::int64_t>(b.ncore);
+  team.parallel([&](int tid) {
+    const auto g = smp::static_block(0, total, tid, t_count);
+    auto& slot = slots[static_cast<std::size_t>(tid)];
+    std::int64_t off = 0;
+    for (std::size_t k = 0; k < set.size() && off < g.hi; ++k) {
+      const PassBlock<D>& b = set[k];
+      const std::int64_t lo = std::max(g.lo, off) - off;
+      const std::int64_t hi =
+          std::min(g.hi, off + static_cast<std::int64_t>(b.ncore)) - off;
+      off += static_cast<std::int64_t>(b.ncore);
+      if (lo >= hi) continue;
+      const auto first = static_cast<std::size_t>(lo);
+      const auto count = static_cast<std::size_t>(hi - lo);
+      slot.max_v = std::max(slot.max_v,
+                            kick_drift_range(*b.store, first, first + count,
+                                             dt, gravity, bc, nullptr));
+      if (max_disp != nullptr) {
+        slot.max_d = std::max(
+            slot.max_d,
+            max_displacement<D>(b.store->cpositions().subspan(first, count),
+                                b.ref.subspan(first, count), count));
+      }
+    }
+  });
+  double max_v = 0.0;
+  double max_d = 0.0;
+  for (const auto& s : slots) {
+    max_v = std::max(max_v, s.max_v);
+    max_d = std::max(max_d, s.max_d);
+  }
+  if (max_disp != nullptr) *max_disp = max_d;
+  if (counters != nullptr) {
+    counters->position_updates += static_cast<std::uint64_t>(total);
+  }
+  return max_v;
+}
+
+// The one-block set: one accumulator over one link list and its store.
 template <int D>
 void prepare_accumulator(AnyAccumulator<D>& acc, int team_size,
                          const LinkList& list, std::size_t nparticles) {
-  std::visit(
-      [&](auto& a) {
-        if constexpr (requires { std::decay_t<decltype(a)>::kColoredSchedule; }) {
-          // The colored strategy consumes the list's ColorPlan, not just
-          // the link span.
-          a.prepare(team_size, list, nparticles);
-        } else {
-          a.prepare(team_size, std::span<const Link>(list.links), list.n_core,
-                    nparticles);
-        }
-      },
-      acc);
+  const PassBlock<D> b{&list, nullptr, &acc, nparticles};
+  prepare_force_pass<D>({&b, 1}, team_size);
 }
 
 template <int D, class Model, class Disp>
@@ -359,12 +490,10 @@ double dispatch_force_pass(AnyAccumulator<D>& acc, smp::ThreadTeam& team,
                            const Model& model, Disp&& disp,
                            Counters* counters = nullptr,
                            ForceSection section = ForceSection::kAll) {
-  return std::visit(
-      [&](auto& a) {
-        return smp_force_pass<D>(team, list, store, model, disp, a, counters,
-                                 section);
-      },
-      acc);
+  const PassBlock<D> b{&list, &store, &acc, store.size()};
+  const SectionEnergy e =
+      team_force_pass<D>(team, {&b, 1}, model, disp, counters, section);
+  return e.core + e.halo;
 }
 
 }  // namespace hdem

@@ -23,19 +23,21 @@
 //                   atomics, zero private-array merges.  The achievable
 //                   version of the NoLock bound.
 //
-// Each strategy implements:
-//   prepare(team_size, links, n_core_links, nparticles)  (per rebuild)
-//   thread_begin(tid, store)          (per iteration, inside the region)
-//   add(tid, i, f)                    (hot path)
+// Each strategy serves one block of a force pass's block set
+// (reduction/force_pass.hpp) and implements:
+//   prepare(team_size, list, nparticles, at)  (per rebuild; `at` places
+//                                     the list's sections in the set)
+//   thread_begin(tid, store)          (per pass, inside the region)
+//   add(tid, i, f, store)             (hot path)
 //   thread_finish(team, tid, store)   (merge phase, inside the region)
 //   collect(counters)                 (after the region)
+// The pass itself owns the link schedule: the static partitions of the
+// set's core and halo links, or the colored phases.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -56,12 +58,24 @@ struct alignas(64) ThreadTally {
 };
 }  // namespace detail
 
+// Where one block's link sections sit in its force pass's block set.  The
+// pass partitions the set's core links over the team, and separately its
+// halo links, so this block's core links are [core_offset, core_offset +
+// n_core) of core_total, and its halo links likewise.  A block that is a
+// set of its own is {0, n_core, 0, n_halo}.
+struct SectionPlacement {
+  std::int64_t core_offset = 0;
+  std::int64_t core_total = 0;
+  std::int64_t halo_offset = 0;
+  std::int64_t halo_total = 0;
+};
+
 // ---------------------------------------------------------------------------
 template <int D>
 class AtomicAllAccumulator {
  public:
-  void prepare(int team_size, std::span<const Link>, std::size_t,
-               std::size_t) {
+  void prepare(int team_size, const LinkList&, std::size_t,
+               const SectionPlacement&) {
     tallies_.assign(static_cast<std::size_t>(team_size), {});
   }
   void thread_begin(int, ParticleStore<D>&) {}
@@ -91,8 +105,8 @@ class AtomicAllAccumulator {
 template <int D>
 class NoLockAccumulator {
  public:
-  void prepare(int team_size, std::span<const Link>, std::size_t,
-               std::size_t) {
+  void prepare(int team_size, const LinkList&, std::size_t,
+               const SectionPlacement&) {
     tallies_.assign(static_cast<std::size_t>(team_size), {});
   }
   void thread_begin(int, ParticleStore<D>&) {}
@@ -121,83 +135,31 @@ class NoLockAccumulator {
 template <int D>
 class SelectedAtomicAccumulator {
  public:
-  void prepare(int team_size, std::span<const Link> links,
-               std::size_t n_core_links, std::size_t nparticles) {
+  // Each thread's share of the pass is the overlap of its static block of
+  // the set's core-link range with this block's core links, plus the same
+  // for the halo links; a particle written from two threads' shares is
+  // shared.  Over a set of many blocks most blocks then fall to a single
+  // thread, which is precisely why fusing reduces inter-thread
+  // dependencies (the paper's Section 11 proposal).
+  void prepare(int team_size, const LinkList& list, std::size_t nparticles,
+               const SectionPlacement& at) {
     tallies_.assign(static_cast<std::size_t>(team_size), {});
     owner_.assign(nparticles, -1);
     shared_.assign(nparticles, 0);
-    // Core and halo links are partitioned independently by the force pass
-    // — whether it traverses both sections in one region or one section
-    // per region (the overlapped schedule), the per-section static ranges
-    // are the same — so both partitions must feed the conflict table.
+    const auto ncore = static_cast<std::int64_t>(list.n_core);
+    const auto nhalo = static_cast<std::int64_t>(list.size()) - ncore;
     for (int tid = 0; tid < team_size; ++tid) {
-      const auto rc = smp::static_block(0, static_cast<std::int64_t>(n_core_links),
-                                        tid, team_size);
-      for (std::int64_t l = rc.lo; l < rc.hi; ++l) {
-        mark(links[static_cast<std::size_t>(l)].i, tid);
-        mark(links[static_cast<std::size_t>(l)].j, tid);
+      const auto c = smp::static_block(0, at.core_total, tid, team_size);
+      for (std::int64_t l = std::max<std::int64_t>(c.lo - at.core_offset, 0);
+           l < std::min(c.hi - at.core_offset, ncore); ++l) {
+        mark(list.links[static_cast<std::size_t>(l)].i, tid);
+        mark(list.links[static_cast<std::size_t>(l)].j, tid);
       }
-      const auto rh = smp::static_block(static_cast<std::int64_t>(n_core_links),
-                                        static_cast<std::int64_t>(links.size()),
-                                        tid, team_size);
-      for (std::int64_t l = rh.lo; l < rh.hi; ++l) {
-        mark(links[static_cast<std::size_t>(l)].i, tid);
+      const auto h = smp::static_block(0, at.halo_total, tid, team_size);
+      for (std::int64_t l = std::max<std::int64_t>(h.lo - at.halo_offset, 0);
+           l < std::min(h.hi - at.halo_offset, nhalo); ++l) {
         // halo ends (j) are never updated
-      }
-    }
-  }
-  // Conflict table for the fused hybrid scheme (the paper's Section 11
-  // proposal): this block's links occupy [offset, offset + nlinks) of one
-  // global link range that is statically partitioned over the team, so a
-  // thread's share of the block is the overlap of its global range with
-  // the block.  Most blocks are then touched by a single thread, which is
-  // precisely why fusing reduces inter-thread dependencies.
-  void prepare_global(int team_size, std::span<const Link> links,
-                      std::size_t n_core_links, std::size_t nparticles,
-                      std::int64_t offset, std::int64_t total_links) {
-    tallies_.assign(static_cast<std::size_t>(team_size), {});
-    owner_.assign(nparticles, -1);
-    shared_.assign(nparticles, 0);
-    const auto nlinks = static_cast<std::int64_t>(links.size());
-    for (int tid = 0; tid < team_size; ++tid) {
-      const auto g = smp::static_block(0, total_links, tid, team_size);
-      const std::int64_t lo = std::max<std::int64_t>(g.lo - offset, 0);
-      const std::int64_t hi = std::min<std::int64_t>(g.hi - offset, nlinks);
-      for (std::int64_t l = lo; l < hi; ++l) {
-        mark(links[static_cast<std::size_t>(l)].i, tid);
-        if (static_cast<std::size_t>(l) < n_core_links) {
-          mark(links[static_cast<std::size_t>(l)].j, tid);
-        }
-      }
-    }
-  }
-
-  // Extend the conflict table with the overlapped fused schedule's split
-  // partitions: when core forces run while halos are in flight, the global
-  // core-link and halo-link ranges are partitioned separately, so a
-  // particle may be shared under the split partitions but not the unsplit
-  // one.  Marking on top of prepare_global keeps the table valid for both
-  // schedules (extra atomics never change a per-thread sum order).
-  void mark_global_split(int team_size, std::span<const Link> links,
-                         std::size_t n_core_links, std::int64_t core_offset,
-                         std::int64_t total_core, std::int64_t halo_offset,
-                         std::int64_t total_halo) {
-    const auto ncore = static_cast<std::int64_t>(n_core_links);
-    const auto nhalo = static_cast<std::int64_t>(links.size()) - ncore;
-    for (int tid = 0; tid < team_size; ++tid) {
-      const auto gc = smp::static_block(0, total_core, tid, team_size);
-      const std::int64_t lo = std::max<std::int64_t>(gc.lo - core_offset, 0);
-      const std::int64_t hi = std::min<std::int64_t>(gc.hi - core_offset, ncore);
-      for (std::int64_t l = lo; l < hi; ++l) {
-        mark(links[static_cast<std::size_t>(l)].i, tid);
-        mark(links[static_cast<std::size_t>(l)].j, tid);
-      }
-      const auto gh = smp::static_block(0, total_halo, tid, team_size);
-      const std::int64_t hlo = std::max<std::int64_t>(gh.lo - halo_offset, 0);
-      const std::int64_t hhi = std::min<std::int64_t>(gh.hi - halo_offset, nhalo);
-      for (std::int64_t l = hlo; l < hhi; ++l) {
-        mark(links[static_cast<std::size_t>(ncore + l)].i, tid);
-        // halo ends (j) are never updated
+        mark(list.links[static_cast<std::size_t>(ncore + l)].i, tid);
       }
     }
   }
@@ -250,8 +212,8 @@ class SelectedAtomicAccumulator {
 template <int D>
 class PrivateArrayBase {
  public:
-  void prepare(int team_size, std::span<const Link>, std::size_t,
-               std::size_t nparticles) {
+  void prepare(int team_size, const LinkList&, std::size_t nparticles,
+               const SectionPlacement&) {
     team_size_ = team_size;
     nparticles_ = nparticles;
     priv_.resize(static_cast<std::size_t>(team_size));
@@ -365,10 +327,8 @@ class TransposeAccumulator : public PrivateArrayBase<D> {
 //
 // The list's ColorPlan (built at every rebuild) partitions links into
 // chunks along the grid's axis-0 slabs such that chunks of equal parity
-// ("color") write pairwise-disjoint particle sets.  prepare() assigns each
-// color's chunks to threads as contiguous runs balanced by link count —
-// any assignment is race-free, so load balance costs nothing.  The force
-// pass (which detects kColoredSchedule) then walks the phases
+// ("color") write pairwise-disjoint particle sets.  The force pass (which
+// detects kColoredSchedule) walks the phases
 //
 //   core color 0 | barrier | core color 1 | barrier |
 //   halo color 0 | barrier | halo color 1            (halo phases only
@@ -377,77 +337,27 @@ class TransposeAccumulator : public PrivateArrayBase<D> {
 // matching the serial core-then-halo traversal of the pair-swapped link
 // layout exactly (each particle sees its even chunk's contributions before
 // its odd chunk's in both), which is what makes the trajectories
-// deterministic and bit-identical for every thread count.
-//
-// set_steal(true) switches the force pass from the static contiguous chunk
-// runs to deterministic work stealing: threads claim chunks of the current
-// color from an atomic cursor.  Within a color every particle is written
-// by at most one chunk, so which thread runs a chunk — and in what order
-// the chunks run — cannot change any particle's accumulation order; the
-// trajectories stay bit-identical to the static schedule (and the serial
-// driver) at any team size.  Only the potential-energy partials are
-// schedule-shaped, so the stealing pass stores them in per-chunk slots and
-// sums them in fixed chunk order (per-thread sums would pick up the
-// claiming order).
+// deterministic and bit-identical for every thread count.  Which thread
+// runs a chunk is the pass's choice (ColorSchedule in force_pass.hpp):
+// contiguous runs balanced by link count, or, with set_steal(true),
+// deterministic work stealing from a per-phase cursor.  Within a color
+// every particle is written by at most one chunk, so neither choice can
+// change any particle's accumulation order.
 template <int D>
 class ColoredAccumulator {
  public:
-  // Tag detected by smp_force_pass to run the phased traversal instead of
+  // Tag detected by the force pass to run the phased traversal instead of
   // the static link partition.
   static constexpr bool kColoredSchedule = true;
 
-  // Unlike the other strategies this one needs the list's ColorPlan, not
-  // just the link span; prepare_accumulator() dispatches accordingly.
-  void prepare(int team_size, const LinkList& list, std::size_t) {
-    const ColorPlan& plan = list.plan;
-    if (!plan.active()) {
+  void prepare(int team_size, const LinkList& list, std::size_t,
+               const SectionPlacement&) {
+    if (!list.plan.active()) {
       throw std::logic_error("ColoredAccumulator: link list has no ColorPlan");
     }
-    team_size_ = team_size;
-    ncolors_ = plan.ncolors;
-    nchunks_ = plan.nchunks;
-    has_halo_ = list.size() > list.n_core;
-    core_lo_ = plan.core_lo;
-    core_hi_ = plan.core_hi;
-    halo_lo_ = plan.halo_lo;
-    halo_hi_ = plan.halo_hi;
+    ncolors_ = list.plan.ncolors;
+    nchunks_ = list.plan.nchunks;
     tallies_.assign(static_cast<std::size_t>(team_size), {});
-
-    for (int color = 0; color < 2; ++color) chunks_[color].clear();
-    for (int c = 0; c < nchunks_; ++c) {
-      chunks_[plan.color_of(c)].push_back(c);
-    }
-    const auto tsz = static_cast<std::size_t>(team_size);
-    for (int color = 0; color < ncolors_; ++color) {
-      const auto& cs = chunks_[color];
-      const std::size_t m = cs.size();
-      // Prefix link weights (core + halo) over this color's chunks.
-      std::uint64_t total = 0;
-      prefix_.assign(m + 1, 0);
-      for (std::size_t k = 0; k < m; ++k) {
-        const auto c = static_cast<std::size_t>(cs[k]);
-        total += (core_hi_[c] - core_lo_[c]) + (halo_hi_[c] - halo_lo_[c]);
-        prefix_[k + 1] = total;
-      }
-      auto& bound = bounds_[color];
-      bound.assign(tsz + 1, m);
-      bound[0] = 0;
-      std::size_t cursor = 0;
-      for (std::size_t t = 1; t < tsz; ++t) {
-        if (total == 0) {
-          cursor = m * t / tsz;  // empty color: split by chunk count
-        } else {
-          // Cut at the chunk boundary nearest the ideal split: a chunk
-          // goes left of the cut iff its weight midpoint does.
-          const std::uint64_t target = total * t / tsz;
-          while (cursor < m &&
-                 (prefix_[cursor] + prefix_[cursor + 1]) / 2 <= target) {
-            ++cursor;
-          }
-        }
-        bound[t] = cursor;
-      }
-    }
   }
 
   void thread_begin(int, ParticleStore<D>&) {}
@@ -463,53 +373,18 @@ class ColoredAccumulator {
     }
     c.colors = static_cast<std::uint64_t>(ncolors_);
     c.colored_chunks = static_cast<std::uint64_t>(nchunks_);
-    // color_barriers is tallied by smp_force_pass, which knows how many
-    // phases the pass actually ran (a section pass runs a subset).
+    // color_barriers is tallied by the force pass, which knows how many
+    // phases it actually ran (a section pass runs a subset).
   }
 
-  // Dynamic chunk claiming (survives re-prepares; set once by the driver).
+  // Dynamic chunk claiming (survives re-prepares).
   void set_steal(bool steal) { steal_ = steal; }
   bool stealing() const { return steal_; }
 
-  // -- phased-traversal queries (used by smp_force_pass and tests) ----------
-  int phase_count() const { return ncolors_ * (has_halo_ ? 2 : 1); }
-  bool phase_is_halo(int ph) const { return ph >= ncolors_; }
-  int phase_color(int ph) const { return ph % ncolors_; }
-  int ncolors() const { return ncolors_; }
-  int nchunks() const { return nchunks_; }
-  // All chunk ids of one color, in the plan's canonical order (the
-  // stealing schedule claims positions in this list; the per-chunk energy
-  // slots sum in this order).
-  std::span<const int> color_chunks(int color) const {
-    return std::span<const int>(chunks_[static_cast<std::size_t>(color)]);
-  }
-  // Chunk ids of `color` assigned to thread `tid` (contiguous run).
-  std::span<const int> thread_chunks(int color, int tid) const {
-    const auto& bound = bounds_[color];
-    const auto t = static_cast<std::size_t>(tid);
-    return std::span<const int>(chunks_[color])
-        .subspan(bound[t], bound[t + 1] - bound[t]);
-  }
-  // Absolute link-index ranges of one chunk.
-  std::pair<std::size_t, std::size_t> core_range(int chunk) const {
-    const auto c = static_cast<std::size_t>(chunk);
-    return {core_lo_[c], core_hi_[c]};
-  }
-  std::pair<std::size_t, std::size_t> halo_range(int chunk) const {
-    const auto c = static_cast<std::size_t>(chunk);
-    return {halo_lo_[c], halo_hi_[c]};
-  }
-
  private:
-  int team_size_ = 1;
   int ncolors_ = 1;
   int nchunks_ = 0;
-  bool has_halo_ = false;
   bool steal_ = false;
-  std::array<std::vector<int>, 2> chunks_;          // chunk ids per color
-  std::array<std::vector<std::size_t>, 2> bounds_;  // per color: T+1 splits
-  std::vector<std::size_t> core_lo_, core_hi_, halo_lo_, halo_hi_;
-  std::vector<std::uint64_t> prefix_;  // prepare() scratch
   std::vector<detail::ThreadTally> tallies_;
 };
 

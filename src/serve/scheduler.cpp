@@ -8,14 +8,6 @@
 
 namespace hdem::serve {
 
-namespace {
-
-std::uint64_t elapsed_ns(const Timer& t) {
-  return static_cast<std::uint64_t>(t.seconds() * 1e9);
-}
-
-}  // namespace
-
 Scheduler::Scheduler(smp::ThreadTeam& team) : Scheduler(team, Options{}) {}
 
 Scheduler::Scheduler(smp::ThreadTeam& team, Options opt)
@@ -81,7 +73,7 @@ void Scheduler::close() { closed_.store(true, std::memory_order_release); }
 void Scheduler::run() {
   Timer t;
   team_.parallel([this](int tid) { worker_loop(tid); });
-  run_ns_.fetch_add(elapsed_ns(t), std::memory_order_relaxed);
+  run_ns_.fetch_add(t.nanoseconds(), std::memory_order_relaxed);
 }
 
 void Scheduler::worker_loop(int tid) {
@@ -96,7 +88,7 @@ void Scheduler::worker_loop(int tid) {
       std::this_thread::yield();
       continue;
     }
-    overhead_ns_.fetch_add(elapsed_ns(book), std::memory_order_relaxed);
+    overhead_ns_.fetch_add(book.nanoseconds(), std::memory_order_relaxed);
 
     if (e->last_worker >= 0 && e->last_worker != tid) ++e->result.migrations;
     e->last_worker = tid;
@@ -108,7 +100,7 @@ void Scheduler::worker_loop(int tid) {
       if (opt_.mute_trace) mute.emplace();
       e->job->advance(opt_.quantum_steps);
     }
-    advance_ns_.fetch_add(elapsed_ns(adv), std::memory_order_relaxed);
+    advance_ns_.fetch_add(adv.nanoseconds(), std::memory_order_relaxed);
 
     const std::uint64_t delta = e->job->cost_units() - before;
     cost_done_.fetch_add(delta, std::memory_order_relaxed);
@@ -128,7 +120,7 @@ void Scheduler::worker_loop(int tid) {
       std::lock_guard<std::mutex> lock(wq.mu);
       wq.q[cls].push_back(e);
     }
-    overhead_ns_.fetch_add(elapsed_ns(book), std::memory_order_relaxed);
+    overhead_ns_.fetch_add(book.nanoseconds(), std::memory_order_relaxed);
   }
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace hdem {
 
@@ -14,6 +15,12 @@ class Timer {
   // Seconds elapsed since construction or the last reset().
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
+  }
+
+  // The same reading in whole nanoseconds (truncated), the unit of every
+  // *_ns counter.
+  std::uint64_t nanoseconds() const {
+    return static_cast<std::uint64_t>(seconds() * 1e9);
   }
 
  private:

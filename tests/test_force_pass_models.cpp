@@ -1,6 +1,6 @@
 // Cross-cutting force-pass properties: velocity-dependent models under
-// threads, per-iteration counter linearity (regression test for tally
-// draining), and the fused per-range helper against the serial reference.
+// threads and per-iteration counter linearity (regression test for tally
+// draining).
 #include <gtest/gtest.h>
 
 #include "core/boundary.hpp"
@@ -63,36 +63,6 @@ TEST(ForcePassModels, DissipativeSphereThreadedMatchesSerial) {
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_LT(norm(f.store.frc(i) - ref[i]), 1e-10);
   }
-}
-
-TEST(ForcePassModels, FusedRangeMatchesSerialWithVelocityModel) {
-  VelocityFixture f;
-  const DissipativeSphere model{100.0, 2.5, f.cfg.diameter};
-  // In block mode displacements are plain; emulate by treating the whole
-  // list with plain displacement for both paths.
-  auto plain = [](const Vec<2>& a, const Vec<2>& b) { return a - b; };
-  zero_forces(f.store);
-  accumulate_forces<2>(f.list.core(), f.store, model, plain, true, 1.0);
-  const std::vector<Vec<2>> ref(f.store.forces().begin(),
-                                f.store.forces().end());
-
-  zero_forces(f.store);
-  NoLockAccumulator<2> acc;
-  acc.prepare(1, f.list.links, f.list.n_core, f.store.size());
-  std::uint64_t contacts = 0;
-  // Split the list into three ranges processed by "one thread".
-  const auto n = static_cast<std::int64_t>(f.list.size());
-  double pe = 0.0;
-  for (std::int64_t lo = 0; lo < n; lo += n / 3 + 1) {
-    const std::int64_t hi = std::min(n, lo + n / 3 + 1);
-    pe += fused_force_range<2>(f.list, lo, hi, f.store, model, acc, 0,
-                               contacts);
-  }
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_LT(norm(f.store.frc(i) - ref[i]), 1e-12);
-  }
-  EXPECT_GT(contacts, 0u);
-  EXPECT_GT(pe, 0.0);
 }
 
 TEST(ForcePassModels, CountersScaleLinearlyWithIterations) {

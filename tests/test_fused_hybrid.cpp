@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
+#include <string>
 
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
@@ -18,6 +20,7 @@ struct Case {
   int nthreads;
   int blocks_per_proc;
   ReductionKind reduction;
+  bool steal = false;
 };
 
 class FusedHybridEquivalence : public ::testing::TestWithParam<Case> {};
@@ -47,6 +50,7 @@ TEST_P(FusedHybridEquivalence, TrajectoryMatchesSerial) {
     typename MpSim<2>::Options opts;
     opts.nthreads = p.nthreads;
     opts.reduction = p.reduction;
+    opts.steal = p.steal;
     opts.fused = true;
     MpSim<2> sim(cfg, layout, comm,
                  ElasticSphere{cfg.stiffness, cfg.diameter}, init, opts);
@@ -71,14 +75,123 @@ INSTANTIATE_TEST_SUITE_P(
                       Case{2, 3, 4, ReductionKind::kSelectedAtomic},
                       Case{4, 2, 4, ReductionKind::kSelectedAtomic},
                       Case{2, 4, 8, ReductionKind::kAtomicAll},
-                      Case{1, 4, 9, ReductionKind::kSelectedAtomic}),
+                      Case{1, 4, 9, ReductionKind::kSelectedAtomic},
+                      Case{2, 3, 4, ReductionKind::kColored},
+                      Case{2, 3, 4, ReductionKind::kColored, true},
+                      Case{4, 2, 1, ReductionKind::kColored, true}),
     [](const auto& info) {
       std::string name = to_string(info.param.reduction);
       std::replace(name.begin(), name.end(), '-', '_');
       return "P" + std::to_string(info.param.nprocs) + "_T" +
              std::to_string(info.param.nthreads) + "_B" +
-             std::to_string(info.param.blocks_per_proc) + "_" + name;
+             std::to_string(info.param.blocks_per_proc) + "_" + name +
+             (info.param.steal ? "_steal" : "");
     });
+
+// One run's rank-summed counters, potential and final positions.
+struct RunResult {
+  Counters agg;
+  double potential = 0.0;
+  std::map<int, Vec<2>> pos;
+};
+
+RunResult run_two_ranks(int bpp, typename MpSim<2>::Options opts,
+                        std::uint64_t n, int steps) {
+  SimConfig<2> cfg;
+  cfg.box = Vec<2>(1.0);
+  cfg.seed = 71;
+  cfg.velocity_scale = 0.8;  // rebuilds and migrations inside the window
+  const auto init = uniform_random_particles(cfg, n);
+  const auto layout = DecompLayout<2>::make(2, bpp);
+  RunResult out;
+  std::mutex mu;
+  mp::run(2, [&](mp::Comm& comm) {
+    MpSim<2> sim(cfg, layout, comm,
+                 ElasticSphere{cfg.stiffness, cfg.diameter}, init, opts);
+    sim.run(static_cast<std::uint64_t>(steps));
+    const double potential = sim.global_potential();
+    const auto state = sim.gather_state();
+    std::lock_guard<std::mutex> lock(mu);
+    out.agg.merge(sim.counters());
+    if (comm.rank() != 0) return;
+    out.potential = potential;
+    for (const auto& r : state) out.pos[r.id] = r.pos;
+  });
+  return out;
+}
+
+void expect_same_positions(const RunResult& a, const RunResult& b) {
+  ASSERT_EQ(a.pos.size(), b.pos.size());
+  for (const auto& [id, p] : a.pos) {
+    const auto it = b.pos.find(id);
+    ASSERT_NE(it, b.pos.end()) << "id " << id;
+    for (int d = 0; d < 2; ++d) {
+      EXPECT_EQ(p[d], it->second[d]) << "particle " << id << " dim " << d;
+    }
+  }
+}
+
+// With one block per rank the fused scheme's block set is that block, so
+// it runs exactly the per-block scheme's passes: the same partitions (the
+// same locks), phases, regions and barriers, and for the colored
+// reduction the same bits.
+TEST(FusedHybrid, OneBlockPerRankIsThePerBlockPass) {
+  struct Strategy {
+    ReductionKind reduction;
+    bool steal;
+  };
+  for (const Strategy st : {Strategy{ReductionKind::kSelectedAtomic, false},
+                            Strategy{ReductionKind::kAtomicAll, false},
+                            Strategy{ReductionKind::kColored, false},
+                            Strategy{ReductionKind::kColored, true}}) {
+    for (const int t : {2, 4}) {
+      for (const bool overlap : {false, true}) {
+        SCOPED_TRACE(std::string(to_string(st.reduction)) +
+                     (st.steal ? "+steal" : "") + " T=" + std::to_string(t) +
+                     (overlap ? " overlap" : " sync"));
+        typename MpSim<2>::Options opts;
+        opts.nthreads = t;
+        opts.reduction = st.reduction;
+        opts.steal = st.steal;
+        opts.overlap = overlap;
+        const auto per_block = run_two_ranks(1, opts, 1000, 20);
+        opts.fused = true;
+        const auto fused = run_two_ranks(1, opts, 1000, 20);
+        EXPECT_EQ(fused.agg.atomic_updates, per_block.agg.atomic_updates);
+        EXPECT_EQ(fused.agg.plain_updates, per_block.agg.plain_updates);
+        EXPECT_EQ(fused.agg.force_evals, per_block.agg.force_evals);
+        EXPECT_EQ(fused.agg.contacts, per_block.agg.contacts);
+        EXPECT_EQ(fused.agg.parallel_regions, per_block.agg.parallel_regions);
+        EXPECT_EQ(fused.agg.barriers, per_block.agg.barriers);
+        EXPECT_EQ(fused.agg.color_barriers, per_block.agg.color_barriers);
+        if (st.reduction == ReductionKind::kColored) {
+          expect_same_positions(fused, per_block);
+          EXPECT_EQ(fused.potential, per_block.potential);
+        }
+      }
+    }
+  }
+}
+
+// Over several blocks per rank the fused colored pass runs every block's
+// chunks in the same global phases, so each particle still sees its
+// block's phases in order: the positions keep the per-block bits.
+TEST(FusedHybrid, ColoredPositionsMatchPerBlockBitwise) {
+  for (const int bpp : {2, 4}) {
+    for (const bool steal : {false, true}) {
+      SCOPED_TRACE("B/P=" + std::to_string(bpp) + (steal ? " steal" : ""));
+      typename MpSim<2>::Options opts;
+      opts.nthreads = 3;
+      opts.reduction = ReductionKind::kColored;
+      opts.steal = steal;
+      const auto per_block = run_two_ranks(bpp, opts, 600, 120);
+      opts.fused = true;
+      const auto fused = run_two_ranks(bpp, opts, 600, 120);
+      expect_same_positions(fused, per_block);
+      EXPECT_GT(fused.agg.rebuilds, 2u) << "rebuilds must be exercised";
+    }
+  }
+}
 
 TEST(FusedHybrid, RegionCountIndependentOfBlocks) {
   SimConfig<2> cfg;

@@ -155,16 +155,19 @@ TEST(Rebalance, ExchangeBlockCostsGathersIdenticalFullVector) {
 
 // ---- deterministic stealing in the threaded driver --------------------------
 
+// Final positions of a colored SmpSim run; optionally the potential after
+// every step and the counters.
 template <int D>
-std::map<int, Vec<D>> smp_raw_positions(const SimConfig<D>& cfg,
-                                        const std::vector<ParticleInit<D>>& init,
-                                        int threads, bool steal, int steps,
-                                        double* energy = nullptr,
-                                        Counters* counters = nullptr) {
+std::map<int, Vec<D>> smp_raw_positions(
+    const SimConfig<D>& cfg, const std::vector<ParticleInit<D>>& init,
+    int threads, bool steal, int steps,
+    std::vector<double>* potentials = nullptr, Counters* counters = nullptr) {
   SmpSim<D> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init, threads,
                 ReductionKind::kColored, steal);
-  sim.run(steps);
-  if (energy) *energy = sim.total_energy();
+  for (int s = 0; s < steps; ++s) {
+    sim.step();
+    if (potentials) potentials->push_back(sim.potential_energy());
+  }
   if (counters) *counters = sim.counters();
   std::map<int, Vec<D>> out;
   for (std::size_t i = 0; i < sim.store().size(); ++i) {
@@ -198,18 +201,23 @@ TEST(Steal, SmpTrajectoryBitIdenticalAcrossTeamSizes) {
   // accumulation order make the forces independent of which thread claims
   // which chunk: the static reference and every stealing team agree bitwise.
   const auto ref = smp_raw_positions<2>(cfg, init, 4, false, steps);
-  double e1 = 0.0;
+  std::vector<double> e1;
   const auto base = smp_raw_positions<2>(cfg, init, 1, true, steps, &e1);
   expect_bitwise_equal<2>(ref, base);
   for (const int threads : {2, 4, 7}) {
-    double e = 0.0;
+    std::vector<double> e;
     Counters c;
     const auto got =
         smp_raw_positions<2>(cfg, init, threads, true, steps, &e, &c);
     expect_bitwise_equal<2>(ref, got);
     // Per-chunk PE slots are summed in canonical order, so even the
-    // reported energy is independent of the team size.
+    // reported potential is independent of the team size at every step,
+    // and the static schedule, which keeps the same slots, reports the
+    // same bits.
     EXPECT_EQ(e, e1) << "threads=" << threads;
+    std::vector<double> e_static;
+    smp_raw_positions<2>(cfg, init, threads, false, steps, &e_static);
+    EXPECT_EQ(e_static, e1) << "static, threads=" << threads;
     // The per-thread cost counters saw every thread do work.
     ASSERT_EQ(c.thread_cost_ns.size(), static_cast<std::size_t>(threads));
     for (const auto ns : c.thread_cost_ns) EXPECT_GT(ns, 0u);

@@ -15,6 +15,7 @@
 #include "core/force_model.hpp"
 #include "core/init.hpp"
 #include "core/serial_sim.hpp"
+#include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
 #include "reduction/force_pass.hpp"
 
@@ -107,8 +108,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SelectedAtomic, ConflictTableMatchesOracle) {
   Fixture f(400, 11);
   const int t_count = 4;
-  SelectedAtomicAccumulator<2> acc;
-  acc.prepare(t_count, f.list.links, f.list.n_core, f.store.size());
+  auto any = make_accumulator<2>(ReductionKind::kSelectedAtomic);
+  prepare_accumulator<2>(any, t_count, f.list, f.store.size());
+  const auto& acc = std::get<SelectedAtomicAccumulator<2>>(any);
 
   // Oracle: the set of threads whose static link block touches particle p.
   std::vector<std::set<int>> touching(f.store.size());
@@ -135,8 +137,9 @@ TEST(SelectedAtomic, FewConflictsForShortRangeForces) {
   // density its fraction shrinks as the system grows: the boundary is a
   // surface, the bulk a volume.
   auto shared_fraction = [](Fixture& f) {
-    SelectedAtomicAccumulator<2> acc;
-    acc.prepare(4, f.list.links, f.list.n_core, f.store.size());
+    auto any = make_accumulator<2>(ReductionKind::kSelectedAtomic);
+    prepare_accumulator<2>(any, 4, f.list, f.store.size());
+    const auto& acc = std::get<SelectedAtomicAccumulator<2>>(any);
     std::size_t shared = 0;
     for (std::size_t p = 0; p < f.store.size(); ++p) {
       if (acc.is_shared(static_cast<std::int32_t>(p))) ++shared;
@@ -243,67 +246,111 @@ TEST(Colored, PlanCoversEveryCoreLinkExactlyOnce) {
   }
 }
 
-// The defining property: within one color, no particle is written by
-// links assigned to two different thread ranges, for any team size.  The
-// write set of a core link is both ends; a halo link writes its core end
-// only (this fixture has none, but the scan covers the ranges anyway).
-TEST(Colored, NoParticleSharedAcrossThreadRangesWithinColor) {
+// Calls check(set, name) on two block sets: the fixture's list as a set
+// of its own, and the four blocks of a decomposed run, whose lists carry
+// halo links.  The colored schedule reads only the lists.
+template <class Check>
+void for_each_color_set(Check&& check) {
   Fixture f(800, 7);
-  ASSERT_TRUE(f.list.plan.active());
   ASSERT_EQ(f.list.plan.ncolors, 2) << "fixture too small to exercise colors";
-  for (const int t_count : {2, 3, 4, 8}) {
-    ColoredAccumulator<2> acc;
-    acc.prepare(t_count, f.list, f.store.size());
-    for (int color = 0; color < acc.ncolors(); ++color) {
-      std::vector<int> writer(f.store.size(), -1);
-      std::size_t conflicts = 0;
-      auto touch = [&](std::int32_t p, int tid) {
-        auto& w = writer[static_cast<std::size_t>(p)];
-        if (w < 0) {
-          w = tid;
-        } else if (w != tid) {
-          ++conflicts;
-        }
-      };
-      for (int tid = 0; tid < t_count; ++tid) {
-        for (const int chunk : acc.thread_chunks(color, tid)) {
-          const auto [clo, chi] = acc.core_range(chunk);
-          for (std::size_t l = clo; l < chi; ++l) {
-            touch(f.list.links[l].i, tid);
-            touch(f.list.links[l].j, tid);
-          }
-          const auto [hlo, hhi] = acc.halo_range(chunk);
-          for (std::size_t l = hlo; l < hhi; ++l) {
-            touch(f.list.links[l].i, tid);
-          }
-        }
-      }
-      EXPECT_EQ(conflicts, 0u)
-          << "T=" << t_count << " color=" << color;
+  const PassBlock<2> one{&f.list, nullptr, nullptr, f.store.size()};
+  check(std::span<const PassBlock<2>>(&one, 1), "one block");
+  SimConfig<2> cfg;
+  cfg.box = Vec<2>(1.0);
+  cfg.seed = 7;
+  const auto init = uniform_random_particles(cfg, 800);
+  mp::run(1, [&](mp::Comm& comm) {
+    const MpSim<2> sim(cfg, DecompLayout<2>::make(1, 4), comm,
+                       ElasticSphere{cfg.stiffness, cfg.diameter}, init);
+    std::vector<PassBlock<2>> set;
+    for (const auto& b : sim.blocks()) {
+      ASSERT_GT(b.links.size(), b.links.n_core) << "no halo links";
+      set.push_back({&b.links, nullptr, nullptr, b.ncore});
     }
-  }
+    check(std::span<const PassBlock<2>>(set), "four blocks");
+  });
 }
 
+// The defining property: within one phase, no particle is written by the
+// runs of two different threads, for any team size.  The write set of a
+// core link is both ends; a halo link writes its core end only.
+TEST(Colored, NoParticleSharedAcrossThreadRangesWithinColor) {
+  for_each_color_set([](std::span<const PassBlock<2>> set, const char* name) {
+    for (const int t_count : {2, 3, 4, 8}) {
+      const ColorSchedule s = color_schedule<2>(set, t_count);
+      for (int ph = 0; ph < 4; ++ph) {
+        const bool halo = ph >= 2;
+        std::vector<std::vector<int>> writer(set.size());
+        for (std::size_t k = 0; k < set.size(); ++k) {
+          writer[k].assign(set[k].ncore, -1);
+        }
+        std::size_t conflicts = 0;
+        auto touch = [&](std::size_t k, std::int32_t p, int tid) {
+          auto& w = writer[k][static_cast<std::size_t>(p)];
+          if (w < 0) {
+            w = tid;
+          } else if (w != tid) {
+            ++conflicts;
+          }
+        };
+        for (int tid = 0; tid < t_count; ++tid) {
+          for (std::size_t i = s.run_begin(ph, tid); i < s.run_end(ph, tid);
+               ++i) {
+            const auto& it = s.items[i];
+            const LinkList& list = *set[it.block].list;
+            const auto [lo, hi] = chunk_range(list, it.chunk, halo);
+            for (std::size_t l = lo; l < hi; ++l) {
+              touch(it.block, list.links[l].i, tid);
+              if (!halo) touch(it.block, list.links[l].j, tid);
+            }
+          }
+        }
+        EXPECT_EQ(conflicts, 0u) << name << " T=" << t_count << " phase=" << ph;
+      }
+    }
+  });
+}
+
+// Every phase's items are cut into consecutive thread runs, and every chunk
+// of every block lands in exactly one core phase (of its color) and, when
+// the block has halo links, exactly one halo phase.
 TEST(Colored, EveryChunkAssignedToExactlyOneThread) {
-  Fixture f(600, 19);
-  for (const int t_count : {1, 2, 5, 8}) {
-    ColoredAccumulator<2> acc;
-    acc.prepare(t_count, f.list, f.store.size());
-    std::vector<int> times_assigned(
-        static_cast<std::size_t>(acc.nchunks()), 0);
-    for (int color = 0; color < acc.ncolors(); ++color) {
-      for (int tid = 0; tid < t_count; ++tid) {
-        for (const int chunk : acc.thread_chunks(color, tid)) {
-          ASSERT_EQ(f.list.plan.color_of(chunk), color);
-          ++times_assigned[static_cast<std::size_t>(chunk)];
+  for_each_color_set([](std::span<const PassBlock<2>> set, const char* name) {
+    for (const int t_count : {1, 2, 5, 8}) {
+      const ColorSchedule s = color_schedule<2>(set, t_count);
+      std::vector<std::vector<int>> core_seen(set.size());
+      std::vector<std::vector<int>> halo_seen(set.size());
+      for (std::size_t k = 0; k < set.size(); ++k) {
+        const auto n = static_cast<std::size_t>(set[k].list->plan.nchunks);
+        core_seen[k].assign(n, 0);
+        halo_seen[k].assign(n, 0);
+      }
+      for (int ph = 0; ph < 4; ++ph) {
+        EXPECT_EQ(s.run_begin(ph, 0), s.first[static_cast<std::size_t>(ph)]);
+        EXPECT_EQ(s.run_end(ph, t_count - 1),
+                  s.first[static_cast<std::size_t>(ph) + 1]);
+        for (int tid = 0; tid < t_count; ++tid) {
+          ASSERT_LE(s.run_begin(ph, tid), s.run_end(ph, tid));
+          for (std::size_t i = s.run_begin(ph, tid); i < s.run_end(ph, tid);
+               ++i) {
+            const auto& it = s.items[i];
+            ASSERT_EQ(set[it.block].list->plan.color_of(it.chunk), ph & 1);
+            ++(ph >= 2 ? halo_seen : core_seen)[it.block]
+                [static_cast<std::size_t>(it.chunk)];
+          }
+        }
+      }
+      for (std::size_t k = 0; k < set.size(); ++k) {
+        const bool has_halo = set[k].list->size() > set[k].list->n_core;
+        for (std::size_t c = 0; c < core_seen[k].size(); ++c) {
+          EXPECT_EQ(core_seen[k][c], 1)
+              << name << " T=" << t_count << " block " << k << " chunk " << c;
+          EXPECT_EQ(halo_seen[k][c], has_halo ? 1 : 0)
+              << name << " T=" << t_count << " block " << k << " chunk " << c;
         }
       }
     }
-    for (int c = 0; c < acc.nchunks(); ++c) {
-      EXPECT_EQ(times_assigned[static_cast<std::size_t>(c)], 1)
-          << "T=" << t_count << " chunk " << c;
-    }
-  }
+  });
 }
 
 TEST(Colored, CountersReportPlanAndPhaseBarriers) {
@@ -378,8 +425,9 @@ TEST(Reduction, UpdatePositionsMatchesSerial) {
   f.serial_forces();  // leaves forces in the store
   ParticleStore<2> copy = f.store;
   smp::ThreadTeam team(3);
-  const double maxv_par = smp_update_positions(team, f.store, f.store.size(),
-                                               1e-3, Vec<2>(0.0, -1.0), f.bc);
+  const PassBlock<2> one{&f.list, &f.store, nullptr, f.store.size()};
+  const double maxv_par = team_update_pass<2>(team, {&one, 1}, 1e-3,
+                                              Vec<2>(0.0, -1.0), f.bc);
   const double maxv_ser = kick_drift(copy, copy.size(), 1e-3,
                                      Vec<2>(0.0, -1.0), f.bc);
   EXPECT_DOUBLE_EQ(maxv_par, maxv_ser);
