@@ -14,12 +14,14 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/init.hpp"
 #include "core/particle_store.hpp"
+#include "io/checkpoint.hpp"
 #include "perf/calibrate.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/machine.hpp"
@@ -247,11 +249,23 @@ std::uint64_t trajectory_digest(std::vector<StateRecord<D>> recs) {
 
 template <int D>
 std::uint64_t trajectory_digest(const ParticleStore<D>& store) {
-  std::vector<StateRecord<D>> recs(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    recs[i] = {store.id(i), store.pos(i), store.vel(i)};
+  return trajectory_digest<D>(io::snapshot_store(store));
+}
+
+// Bit-for-bit equality of two snapshots (same ids in the same order, same
+// position and velocity bytes).
+template <int D>
+bool records_identical(const std::vector<StateRecord<D>>& a,
+                       const std::vector<StateRecord<D>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::memcmp(&a[i].pos, &b[i].pos, sizeof(Vec<D>)) != 0 ||
+        std::memcmp(&a[i].vel, &b[i].vel, sizeof(Vec<D>)) != 0) {
+      return false;
+    }
   }
-  return trajectory_digest<D>(std::move(recs));
+  return true;
 }
 
 }  // namespace hdem::bench

@@ -85,13 +85,14 @@ int main(int argc, char** argv) {
   int best_mpi_bpp = 0, best_hyb_bpp = 0, best_fus_bpp = 0;
   for (const std::int64_t b : bpps) {
     const int bpp = static_cast<int>(b);
-    perf::MeasureSpec mpi{knobs};
+    perf::MeasureSpec mpi{knobs, {}};
     mpi.D = 2;
     mpi.n = ctx.n_for(2);
     mpi.rc_factor = 1.5;
     mpi.mode = perf::MeasureSpec::Mode::kMp;
     mpi.nprocs = 16;
     mpi.blocks_per_proc = bpp;
+    mpi.scenario = Scenario::kClustered;
     mpi.cluster_fraction = fraction;
     mpi.iterations = ctx.iters;
     // An adaptive run must cross a list rebuild to adopt its table; give

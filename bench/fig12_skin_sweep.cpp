@@ -41,32 +41,6 @@ using namespace hdem::bench;
 
 namespace {
 
-// Sorted-by-id snapshot of a shared-memory driver's store (the decomposed
-// driver's gather_state already returns this shape).
-template <int D>
-std::vector<StateRecord<D>> snapshot_records(const ParticleStore<D>& store) {
-  std::vector<StateRecord<D>> out(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const auto id = static_cast<std::size_t>(store.id(i));
-    out[id] = {store.id(i), store.pos(i), store.vel(i)};
-  }
-  return out;
-}
-
-template <int D>
-bool records_identical(const std::vector<StateRecord<D>>& a,
-                       const std::vector<StateRecord<D>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id ||
-        std::memcmp(&a[i].pos, &b[i].pos, sizeof(Vec<D>)) != 0 ||
-        std::memcmp(&a[i].vel, &b[i].vel, sizeof(Vec<D>)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct IdentityRun {
   std::vector<StateRecord<2>> state;
   Counters counters;  // rank 0's / the driver's counters
@@ -94,7 +68,7 @@ IdentityRun run_identity_serial(double skin, double skin_cap,
   const auto cfg = identity_config(skin, skin_cap);
   SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
   sim.run(static_cast<std::uint64_t>(steps));
-  return {snapshot_records<2>(sim.store()), sim.counters()};
+  return {io::snapshot_store(sim.store()), sim.counters()};
 }
 
 IdentityRun run_identity_smp(double skin, double skin_cap, int nthreads,
@@ -104,7 +78,7 @@ IdentityRun run_identity_smp(double skin, double skin_cap, int nthreads,
   SmpSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init,
                 nthreads, ReductionKind::kColored);
   sim.run(static_cast<std::uint64_t>(steps));
-  return {snapshot_records<2>(sim.store()), sim.counters()};
+  return {io::snapshot_store(sim.store()), sim.counters()};
 }
 
 IdentityRun run_identity_mp(double skin, double skin_cap, int nthreads,
@@ -131,16 +105,7 @@ IdentityRun run_identity_mp(double skin, double skin_cap, int nthreads,
   return out;
 }
 
-// steps/sec over the measured window (warmup excluded), best-of-reps.
-perf::MeasuredRun measure_best(const perf::MeasureSpec& spec, int reps) {
-  perf::MeasuredRun best = perf::measure_run(spec);
-  for (int r = 1; r < reps; ++r) {
-    perf::MeasuredRun m = perf::measure_run(spec);
-    if (m.host_seconds < best.host_seconds) best = std::move(m);
-  }
-  return best;
-}
-
+// steps/sec over the measured window (warmup excluded).
 double steps_per_sec(const perf::MeasuredRun& m) {
   return m.host_seconds > 0.0
              ? static_cast<double>(m.run.iterations) / m.host_seconds
@@ -254,20 +219,18 @@ int main(int argc, char** argv) {
   // frequency.  hot: drift exceeds even the widened allowances — the skin
   // cannot pay and the table shows it honestly.
   const double sweep_skins[] = {0.0, 0.05, 0.1, 0.2, 0.3, 0.5};
-  struct Workload {
+  struct SweepWorkload {
     const char* name;
     double velocity_scale;
   };
-  const Workload workloads[] = {{"settled", 18.0}, {"hot", 60.0}};
+  const SweepWorkload workloads[] = {{"settled", 18.0}, {"hot", 60.0}};
 
-  json << "\n  ],\n  \"throughput\": [";
-  first = true;
-  double best_speedup = 0.0, best_skin = 0.0;
-  perf::MeasuredRun settled_base, settled_best;
-  Table tp({"workload", "skin", "steps/s", "speedup", "rebuilds/iter",
-            "links_core", "reuse"});
+  // Best of reps per (workload, skin) point, with the reps run rep-major
+  // across the sweep (as perf::run_sweep does): a slow stretch of a shared
+  // host then degrades one rep of every point instead of every rep of one
+  // point, and the best-of rule recovers.
+  std::vector<perf::MeasureSpec> points;
   for (const auto& w : workloads) {
-    double base_sps = 0.0;
     for (const double skin : sweep_skins) {
       perf::MeasureSpec spec;
       spec.D = 2;
@@ -277,7 +240,30 @@ int main(int argc, char** argv) {
       spec.velocity_scale = w.velocity_scale;
       spec.warmup = 2;
       spec.iterations = iters;
-      const auto m = measure_best(spec, reps);
+      points.push_back(spec);
+    }
+  }
+  std::vector<perf::MeasuredRun> best(points.size());
+  for (int rep = 0; rep < std::max(reps, 1); ++rep) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      perf::MeasuredRun m = perf::measure_run(points[i]);
+      if (rep == 0 || m.host_seconds < best[i].host_seconds) {
+        best[i] = std::move(m);
+      }
+    }
+  }
+
+  json << "\n  ],\n  \"throughput\": [";
+  first = true;
+  double best_speedup = 0.0, best_skin = 0.0;
+  perf::MeasuredRun settled_base, settled_best;
+  Table tp({"workload", "skin", "steps/s", "speedup", "rebuilds/iter",
+            "links_core", "reuse"});
+  std::size_t point = 0;
+  for (const auto& w : workloads) {
+    double base_sps = 0.0;
+    for (const double skin : sweep_skins) {
+      const perf::MeasuredRun& m = best[point++];
       const double sps = steps_per_sec(m);
       if (skin == 0.0) base_sps = sps;
       const double speedup = base_sps > 0.0 ? sps / base_sps : 0.0;

@@ -46,30 +46,6 @@ namespace {
 
 constexpr double kCap = 0.3;  // pinned binning capacity = max swept skin
 
-template <int D>
-std::vector<StateRecord<D>> snapshot_records(const ParticleStore<D>& store) {
-  std::vector<StateRecord<D>> out(store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    const auto id = static_cast<std::size_t>(store.id(i));
-    out[id] = {store.id(i), store.pos(i), store.vel(i)};
-  }
-  return out;
-}
-
-template <int D>
-bool records_identical(const std::vector<StateRecord<D>>& a,
-                       const std::vector<StateRecord<D>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id ||
-        std::memcmp(&a[i].pos, &b[i].pos, sizeof(Vec<D>)) != 0 ||
-        std::memcmp(&a[i].vel, &b[i].vel, sizeof(Vec<D>)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 struct IdentityRun {
   std::vector<StateRecord<2>> state;
   Counters counters;  // rank 0's / the driver's counters
@@ -98,7 +74,7 @@ IdentityRun run_identity_serial(double skin, bool delta,
   const auto cfg = identity_config(skin, delta);
   SerialSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init);
   sim.run(static_cast<std::uint64_t>(steps));
-  return {snapshot_records<2>(sim.store()), sim.counters(), sim.counters()};
+  return {io::snapshot_store(sim.store()), sim.counters(), sim.counters()};
 }
 
 IdentityRun run_identity_smp(double skin, bool delta, int nthreads,
@@ -108,7 +84,7 @@ IdentityRun run_identity_smp(double skin, bool delta, int nthreads,
   SmpSim<2> sim(cfg, ElasticSphere{cfg.stiffness, cfg.diameter}, init,
                 nthreads, ReductionKind::kColored);
   sim.run(static_cast<std::uint64_t>(steps));
-  return {snapshot_records<2>(sim.store()), sim.counters(), sim.counters()};
+  return {io::snapshot_store(sim.store()), sim.counters(), sim.counters()};
 }
 
 IdentityRun run_identity_mp(double skin, bool delta, int nthreads,
@@ -161,8 +137,9 @@ perf::MeasureSpec settled_spec(bool delta, bool coalesce, int nprocs, int bpp,
   s.halo_delta = delta;
   s.halo_coalesce = coalesce;
   s.skin_factor = 0.1;
+  s.scenario = Scenario::kSettled;
   s.settled_stride = 5;  // 20% mobile minority
-  s.settled_speed = 0.25;
+  s.velocity_scale = 0.25;
   s.box_scale = 1.6;  // lattice spacing 0.08 > rc = 0.075: contact-free
   s.warmup = 2;
   s.iterations = iters;

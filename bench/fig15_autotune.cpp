@@ -82,7 +82,8 @@ WorkloadEval evaluate_workload(const std::string& name,
                                std::ostringstream& out) {
   WorkloadEval ev;
   ev.name = name;
-  out << "== " << name << " workload (scenario " << sweep.workload.scenario
+  out << "== " << name << " workload (scenario "
+      << to_string(sweep.workload.scenario)
       << ", n=" << sweep.workload.n << ") ==\n\n";
   ev.rows = perf::run_sweep(sweep);
 
@@ -222,23 +223,6 @@ WorkloadEval evaluate_workload(const std::string& name,
   return ev;
 }
 
-// The tune-model workload class of a serving job (same mapping as
-// examples/sim_server.cpp).
-perf::TuneWorkload job_workload(const serve::JobSpec& spec) {
-  perf::TuneWorkload w;
-  w.scenario = serve::to_string(spec.scenario);
-  w.D = spec.dim;
-  w.n = spec.n;
-  w.velocity_scale = spec.velocity_scale;
-  w.settled_stride = spec.scenario == serve::Scenario::kSettled
-                         ? spec.settled_stride
-                         : 0;
-  w.cluster_fraction = spec.scenario == serve::Scenario::kClustered
-                           ? spec.clustered_fraction
-                           : 1.0;
-  return w;
-}
-
 // Gate 3: serve a mini trace with choose_serving-picked knobs, then
 // byte-compare every checkpoint against a standalone re-run.
 bool serving_identity_gate(const perf::FittedModel& model,
@@ -274,7 +258,7 @@ bool serving_identity_gate(const perf::FittedModel& model,
         (fs::path(dir) / ("job_" + std::to_string(spec.job_id) + ".ckp"))
             .string();
     const auto choice = perf::choose_serving(
-        model, job_workload(spec), serve::job_knobs(spec),
+        model, serve::job_workload(spec), serve::job_knobs(spec),
         m.deadline == serve::DeadlineClass::kInteractive, 2);
     spec.inner_threads = choice.inner_threads;
     if (quantum == 0 || choice.quantum_steps < quantum) {
@@ -380,17 +364,13 @@ int main(int argc, char** argv) {
          "predict\n"
       << perf::machine_report(perf::generic_host()) << "\n\n";
 
-  const auto make_sweep = [&](const std::string& scenario) {
+  const auto make_sweep = [&](Scenario scenario) {
     perf::SweepSpec sweep;
-    sweep.workload.scenario = scenario;
-    sweep.workload.D = 2;
-    sweep.workload.n = n;
-    if (scenario == "settled") {
-      sweep.workload.settled_stride = 8;
-      sweep.workload.velocity_scale = 0.25;
-    } else {
-      sweep.workload.velocity_scale = 0.25;
-    }
+    sweep.workload = {.scenario = scenario,
+                      .D = 2,
+                      .n = n,
+                      .velocity_scale = 0.25,
+                      .settled_stride = 8};
     sweep.procs = procs;
     sweep.threads = threads;
     sweep.blocks = blocks;
@@ -404,9 +384,9 @@ int main(int argc, char** argv) {
   };
 
   const WorkloadEval settled =
-      evaluate_workload("settled", make_sweep("settled"), smoke, out);
+      evaluate_workload("settled", make_sweep(Scenario::kSettled), smoke, out);
   const WorkloadEval hot =
-      evaluate_workload("hot", make_sweep("uniform"), smoke, out);
+      evaluate_workload("hot", make_sweep(Scenario::kUniform), smoke, out);
 
   out << "== serving identity (choose_serving knobs) ==\n\n";
   const bool identity_ok = serving_identity_gate(hot.model, out);

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       double t1 = 0.0;
       for (const std::int64_t b : bpps) {
         const int bpp = static_cast<int>(b);
-        perf::MeasureSpec spec{knobs};
+        perf::MeasureSpec spec{knobs, {}};
         spec.D = D;
         spec.n = ctx.n_for(D);
         spec.rc_factor = 1.5;

@@ -22,7 +22,6 @@
 // any identity, conservation, or modeled-speedup failure makes the bench
 // exit nonzero.
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <sstream>
 
@@ -173,20 +172,6 @@ bool bytes_conserved(const Counters& wire, const Counters& shm) {
              shm.bytes_local;
 }
 
-template <int D>
-bool states_identical(const std::vector<StateRecord<D>>& a,
-                      const std::vector<StateRecord<D>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id ||
-        std::memcmp(&a[i].pos, &b[i].pos, sizeof(Vec<D>)) != 0 ||
-        std::memcmp(&a[i].vel, &b[i].vel, sizeof(Vec<D>)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,7 +293,7 @@ int main(int argc, char** argv) {
                                           /*shared=*/true, rpn,
                                           /*warmup=*/0, /*steps=*/120,
                                           /*velocity_scale=*/0.8, 71);
-      const bool same = states_identical<2>(wire.state2, shm.state2);
+      const bool same = records_identical<2>(wire.state2, shm.state2);
       const bool cons = bytes_conserved(wire.total, shm.total);
       gate_ok = gate_ok && same && cons;
       tg.add_row({"2", std::to_string(gate_procs), std::to_string(rpn),

@@ -46,7 +46,7 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
     for (const std::int64_t b : bpps) {
       const int bpp = static_cast<int>(b);
       // Pure MPI: 16 ranks packed four per node.
-      perf::MeasureSpec mpi{knobs};
+      perf::MeasureSpec mpi{knobs, {}};
       mpi.D = D;
       mpi.n = ctx.n_for(D);
       mpi.rc_factor = rcf;

@@ -48,7 +48,7 @@ inline int run_mpi_scaling_bench(int argc, char** argv, bool reorder,
     for (int p : s.procs) {
       const auto key = std::make_pair(s.D, p);
       if (measured.count(key)) continue;
-      perf::MeasureSpec spec{knobs};
+      perf::MeasureSpec spec{knobs, {}};
       spec.D = s.D;
       spec.n = ctx.n_for(s.D);
       spec.rc_factor = 1.5;  // the paper's Figures 1-3 use rc = 1.5 rmax

@@ -38,7 +38,7 @@ namespace {
 // Load the tune file, or measure a small hybrid-shaped grid over this
 // workload and save it there first.
 perf::FittedModel ensure_hybrid_model(const TuneCliOptions& tune,
-                                      const perf::TuneWorkload& w,
+                                      const Workload& w,
                                       const RunKnobs& knobs) {
   return perf::fit_model(perf::load_or_measure_tune_rows(
       tune.tune_file_path("hybrid"), "hybrid", [&] {
@@ -72,11 +72,11 @@ int main(int argc, char** argv) {
   const TuneCliOptions tune = declare_tune_options(cli);
   if (cli.finish()) return cli.exit_code();
 
-  SimConfig<2> cfg{knobs};
-  cfg.box = Vec<2>(SimConfig<2>::paper_box_edge(n));
+  const Workload w{.n = n};
+  SimConfig<2> cfg = workload_config<2>(w, knobs);
   cfg.seed = 99;
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
-  const auto init = uniform_random_particles(cfg, n);
+  const auto init = workload_particles(cfg, w);
 
   // --- serial reference ------------------------------------------------
   SerialSim<2> serial(cfg, model, init);
@@ -141,9 +141,6 @@ int main(int argc, char** argv) {
   int hybrid_procs = 2;
   int hybrid_threads = 2;
   if (tune.auto_mode) {
-    perf::TuneWorkload w;
-    w.n = n;
-    w.velocity_scale = cfg.velocity_scale;
     const perf::FittedModel fitted = ensure_hybrid_model(tune, w, knobs);
     std::vector<RunKnobs> candidates;
     for (const auto& [p_c, t_c] : {std::pair{1, 4}, {2, 2}, {4, 1}}) {

@@ -73,7 +73,7 @@ std::vector<serve::JobSpec> read_trace(const std::string& path,
     if (!(is >> scenario >> n >> steps >> deadline)) continue;  // blank line
     serve::JobSpec spec;
     spec.job_id = specs.size();
-    spec.scenario = serve::scenario_from_string(scenario);
+    spec.scenario = scenario_from_string(scenario);
     spec.n = n;
     spec.steps = steps;
     spec.deadline = serve::deadline_from_string(deadline);
@@ -109,22 +109,6 @@ std::vector<serve::JobSpec> synthetic_trace(std::uint64_t jobs,
   return specs;
 }
 
-// The tune-model workload class a job belongs to.
-perf::TuneWorkload job_workload(const serve::JobSpec& spec) {
-  perf::TuneWorkload w;
-  w.scenario = serve::to_string(spec.scenario);
-  w.D = spec.dim;
-  w.n = spec.n;
-  w.velocity_scale = spec.velocity_scale;
-  w.settled_stride = spec.scenario == serve::Scenario::kSettled
-                         ? spec.settled_stride
-                         : 0;
-  w.cluster_fraction = spec.scenario == serve::Scenario::kClustered
-                           ? spec.clustered_fraction
-                           : 1.0;
-  return w;
-}
-
 // A serving-shaped sweep: P = 1, B = 1, thread counts up to the worker
 // pool, one workload class per distinct trace scenario at its median size.
 std::vector<perf::TuneRow> measure_serving_rows(
@@ -145,7 +129,7 @@ std::vector<perf::TuneRow> measure_serving_rows(
     }
     std::sort(sizes.begin(), sizes.end());
     perf::SweepSpec sweep;
-    sweep.workload = job_workload(spec);
+    sweep.workload = serve::job_workload(spec);
     sweep.workload.n = sizes[sizes.size() / 2];
     sweep.procs = {1};
     sweep.blocks = {1};
@@ -217,7 +201,7 @@ int main(int argc, char** argv) {
       const auto& spec = specs[i];
       const bool latency =
           spec.deadline == serve::DeadlineClass::kInteractive;
-      choices[i] = perf::choose_serving(model, job_workload(spec),
+      choices[i] = perf::choose_serving(model, serve::job_workload(spec),
                                         serve::job_knobs(spec), latency,
                                         workers);
       if (inner_threads_opt == 0) {

@@ -1,4 +1,4 @@
-// Initial-condition generators.
+// Initial-condition generators, and the workload that selects one.
 //
 // Every driver (serial, threaded, message-passing, hybrid) starts from the
 // same deterministic global particle set so their trajectories can be
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -151,6 +152,73 @@ std::vector<ParticleInit<D>> settled_bed_particles(const SimConfig<D>& cfg,
     }
   }
   return out;
+}
+
+// The scenario registry: every entry maps to one of the generators above.
+enum class Scenario : std::uint8_t {
+  kUniform,    // the paper's uniform random benchmark system
+  kClustered,  // settled-sand pile (bottom fraction of the box)
+  kSettled,    // near-static lattice bed with a sparse moving minority
+};
+
+inline const char* to_string(Scenario s) {
+  switch (s) {
+    case Scenario::kUniform: return "uniform";
+    case Scenario::kClustered: return "clustered";
+    case Scenario::kSettled: return "settled";
+  }
+  return "?";
+}
+
+inline Scenario scenario_from_string(const std::string& s) {
+  if (s == "uniform") return Scenario::kUniform;
+  if (s == "clustered") return Scenario::kClustered;
+  if (s == "settled") return Scenario::kSettled;
+  throw std::invalid_argument(
+      "scenario must be uniform, clustered or settled, got '" + s + "'");
+}
+
+// What a run simulates, as opposed to how it executes (the run knobs,
+// driver/knobs.hpp): a scenario at the paper's density.  Measuring,
+// tuning and serving all describe their systems with it.  The scenario
+// parameters are read only by their own scenario.
+struct Workload {
+  Scenario scenario = Scenario::kUniform;
+  int D = 2;                          // 2 or 3
+  std::uint64_t n = 4000;             // particles
+  double rc_factor = 1.5;             // rc / rmax
+  // Initial speed scale: how hot the system runs, i.e. how often drift
+  // invalidates the candidate list.  kSettled: the movers' speed.
+  double velocity_scale = 0.05;
+  std::uint64_t settled_stride = 16;  // kSettled: every stride-th moves
+  double cluster_fraction = 0.5;      // kClustered: occupied box fraction
+};
+
+// The workload's config: the paper-density box for w.n particles, its
+// cutoff and speed, and the knobs' list slice.  Callers set the seed.
+template <int D>
+SimConfig<D> workload_config(const Workload& w, const ListKnobs& knobs) {
+  SimConfig<D> cfg{knobs};
+  cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(w.n));
+  cfg.cutoff_factor = w.rc_factor;
+  cfg.velocity_scale = w.velocity_scale;
+  return cfg;
+}
+
+// The workload's initial condition under cfg (box, seed, speed).
+template <int D>
+std::vector<ParticleInit<D>> workload_particles(const SimConfig<D>& cfg,
+                                                const Workload& w) {
+  switch (w.scenario) {
+    case Scenario::kUniform:
+      return uniform_random_particles(cfg, w.n);
+    case Scenario::kClustered:
+      return clustered_particles(cfg, w.n, w.cluster_fraction);
+    case Scenario::kSettled:
+      return settled_bed_particles(cfg, w.n, w.settled_stride,
+                                   w.velocity_scale);
+  }
+  throw std::invalid_argument("workload_particles: unknown scenario");
 }
 
 }  // namespace hdem

@@ -266,26 +266,6 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
                    (halo_rank * machine.t_reorder + n_rank * machine.t_bin) /
                    t_count;
   }
-  // Load imbalance (opt-in): the step is bulk-synchronous — the rebuild
-  // criterion's allreduce fences every iteration — so everyone waits for
-  // the busiest rank.  The model's work terms are per-rank *means*; the
-  // busiest rank's excess over the mean, measured by per-rank force
-  // evaluations, is pure waiting time added on top.
-  if (layout.model_imbalance && run.per_rank.size() > 1) {
-    double total_w = 0.0;
-    double max_w = 0.0;
-    for (const Counters& c : run.per_rank) {
-      const double w = static_cast<double>(c.force_evals);
-      total_w += w;
-      max_w = std::max(max_w, w);
-    }
-    if (total_w > 0.0) {
-      const double ratio =
-          max_w * static_cast<double>(run.per_rank.size()) / total_w;
-      out.imbalance =
-          (out.compute + out.memory + out.atomic) * (ratio - 1.0);
-    }
-  }
   return out;
 }
 
@@ -312,7 +292,7 @@ bool FittedModel::fitted() const {
   return false;
 }
 
-double FittedModel::rebuilds_per_step(const TuneWorkload& w,
+double FittedModel::rebuilds_per_step(const Workload& w,
                                       double skin) const {
   const ClassRates* best = nullptr;
   bool best_scenario_match = false;
@@ -334,7 +314,7 @@ double FittedModel::rebuilds_per_step(const TuneWorkload& w,
 }
 
 std::array<double, FittedModel::kFeatureCount> FittedModel::features(
-    int phase, const TuneWorkload& w, const RunKnobs& c,
+    int phase, const Workload& w, const RunKnobs& c,
     double rebuild_rate) {
   const double P = static_cast<double>(std::max(c.nprocs, 1));
   const double T = static_cast<double>(std::max(c.nthreads, 1));
@@ -402,7 +382,7 @@ std::array<double, FittedModel::kFeatureCount> FittedModel::features(
   return f;
 }
 
-FittedModel::Phases FittedModel::predict(const TuneWorkload& w,
+FittedModel::Phases FittedModel::predict(const Workload& w,
                                          const RunKnobs& c) const {
   const double rho = rebuilds_per_step(w, c.skin_factor);
   Phases out;

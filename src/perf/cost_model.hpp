@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/counters.hpp"
+#include "core/init.hpp"
 #include "driver/knobs.hpp"
 #include "perf/machine.hpp"
 
@@ -58,16 +58,12 @@ struct CostBreakdown {
   double sync = 0.0;       // fork/join + barriers + criticals
   double comm = 0.0;       // halo swaps, migration, collectives
   double rebuild = 0.0;    // amortised list rebuild (bin/reorder/linkgen)
-  // Bulk-synchronous wait time implied by the measured per-rank load
-  // spread (opt-in via ModelLayout::model_imbalance; zero otherwise).
-  double imbalance = 0.0;
   // Halo byte cost hidden behind core-link compute by the overlapped
   // schedule (measured overlapped/exposed split).  Informational: comm is
   // already net of this, so it does not enter total().
   double comm_hidden = 0.0;
   double total() const {
-    return compute + memory + atomic + reduction + sync + comm + rebuild +
-           imbalance;
+    return compute + memory + atomic + reduction + sync + comm + rebuild;
   }
 };
 
@@ -86,11 +82,6 @@ struct ModelLayout {
   // independent of the particle count — so extrapolating a reduced-size
   // measurement to the paper's system leaves them unscaled.
   double sync_scale = 1.0;
-  // Opt-in: add a load-imbalance term from the measured per-rank work
-  // spread (max/mean of per-rank force evaluations).  Off by default so
-  // the model's balanced-workload predictions are unchanged; the clustered
-  // benches turn it on.
-  bool model_imbalance = false;
 };
 
 // Extrapolation of a reduced-size measurement to `target_particles` (the
@@ -161,18 +152,6 @@ double halo_change_fraction(const RunMeasurement& run);
 // extra threads buy nothing fits a near-zero 1/T term, so the tuner
 // correctly picks T = 1 there).
 
-// Workload class the tuner predicts for.  Mirrors serve::JobSpec's
-// scenario vocabulary by name (perf cannot depend on serve).
-struct TuneWorkload {
-  std::string scenario = "uniform";  // uniform | clustered | settled
-  int D = 2;
-  std::uint64_t n = 4000;
-  double rc_factor = 1.5;
-  double velocity_scale = 0.05;
-  std::uint64_t settled_stride = 0;  // settled: every stride-th moves
-  double cluster_fraction = 1.0;     // clustered: occupied box fraction
-};
-
 class FittedModel {
  public:
   enum Phase : int {
@@ -206,7 +185,7 @@ class FittedModel {
   // skin rebuilds orders of magnitude less often than a hot gas at skin 0,
   // and every rebuild-coupled term scales with that rate.
   struct ClassRates {
-    std::string scenario;
+    Scenario scenario = Scenario::kUniform;
     double skin = 0.0;
     double rebuilds_per_step = 1.0;
     double imbalance = 1.0;  // per-rank traced-work spread, max/mean
@@ -222,17 +201,17 @@ class FittedModel {
   // Expected rebuilds per step for a workload at a given skin: exact
   // (scenario, nearest-skin) class match, falling back to the nearest
   // class of any scenario, then to 1 (rebuild every step — conservative).
-  double rebuilds_per_step(const TuneWorkload& w, double skin) const;
+  double rebuilds_per_step(const Workload& w, double skin) const;
 
   // The per-phase analytic feature vector; shared by fitting and
   // prediction so the two can never drift apart.
   static std::array<double, kFeatureCount> features(int phase,
-                                                    const TuneWorkload& w,
+                                                    const Workload& w,
                                                     const RunKnobs& c,
                                                     double rebuild_rate);
 
   // Predicted phases of a candidate knob set on a workload.
-  Phases predict(const TuneWorkload& w, const RunKnobs& c) const;
+  Phases predict(const Workload& w, const RunKnobs& c) const;
 };
 
 // Convenience: speedup/efficiency bookkeeping used by the figure benches.

@@ -28,31 +28,18 @@
 
 namespace hdem::perf {
 
-// The run knobs (driver/knobs.hpp) plus the workload and the window.
-struct MeasureSpec : RunKnobs {
+// The run knobs (driver/knobs.hpp), the workload (core/init.hpp) and the
+// window.
+struct MeasureSpec : RunKnobs, Workload {
   // kSerial is the serial driver: kSmp on a one-member team with the
   // colored reduction, whatever nthreads, reduction and steal say.  kMp
   // runs MpSim at T = 1, whatever nthreads says.
   enum class Mode { kSerial, kSmp, kMp, kHybrid };
 
-  int D = 3;  // 2 or 3
-  std::uint64_t n = 100'000;
-  double rc_factor = 1.5;
   Mode mode = Mode::kSerial;
-  // Settled-bed workload (settled_stride > 0): a contact-free lattice at
-  // rest except for every settled_stride-th particle moving at
-  // settled_speed, in a box widened by box_scale so the lattice spacing
-  // clears rc.  The workload whose static majority the delta frames
-  // compress.
-  std::uint64_t settled_stride = 0;
-  double settled_speed = 0.25;
+  // Widens the paper-density box, e.g. so a settled lattice's spacing
+  // clears rc.
   double box_scale = 1.0;
-  // Initial speed scale (SimConfig::velocity_scale): how hot the system
-  // runs, i.e. how often drift invalidates the candidate list.
-  double velocity_scale = 0.05;
-  // < 1 confines all particles to the bottom fraction of the box (the
-  // clustered, load-imbalanced workload class the paper targets).
-  double cluster_fraction = 1.0;
   // Steps before the measured window (≥ 1 keeps a settle step; raise it so
   // an adaptive run crosses a rebuild and adopts its table first).
   std::uint64_t warmup = 1;
@@ -83,27 +70,12 @@ struct MeasuredRun {
 namespace detail {
 
 template <int D>
-SimConfig<D> benchmark_config(const MeasureSpec& spec) {
-  SimConfig<D> cfg{spec};  // the ListKnobs part
-  cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(spec.n) * spec.box_scale);
-  cfg.diameter = 0.05;
-  cfg.cutoff_factor = spec.rc_factor;
-  cfg.velocity_scale = spec.velocity_scale;
-  cfg.seed = spec.seed;
-  return cfg;
-}
-
-template <int D>
 MeasuredRun measure_impl(const MeasureSpec& spec) {
-  const SimConfig<D> cfg = benchmark_config<D>(spec);
+  SimConfig<D> cfg = workload_config<D>(spec, spec);
+  cfg.box *= spec.box_scale;
+  cfg.seed = spec.seed;
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
-  const auto init =
-      spec.settled_stride > 0
-          ? settled_bed_particles(cfg, spec.n, spec.settled_stride,
-                                  spec.settled_speed)
-      : spec.cluster_fraction < 1.0
-          ? clustered_particles(cfg, spec.n, spec.cluster_fraction)
-          : uniform_random_particles(cfg, spec.n);
+  const auto init = workload_particles<D>(cfg, spec);
 
   MeasuredRun out;
   out.run.D = D;

@@ -20,22 +20,10 @@ namespace hdem::perf {
 
 namespace {
 
-MeasureSpec to_measure_spec(const TuneWorkload& w, const RunKnobs& c,
+MeasureSpec to_measure_spec(const Workload& w, const RunKnobs& c,
                             std::uint64_t iterations, std::uint64_t warmup,
                             double min_seconds) {
-  MeasureSpec s{c};
-  s.D = w.D;
-  s.n = w.n;
-  s.rc_factor = w.rc_factor;
-  s.velocity_scale = w.velocity_scale;
-  if (w.scenario == "settled") {
-    s.settled_stride = w.settled_stride > 0 ? w.settled_stride : 16;
-    s.settled_speed = w.velocity_scale;
-  } else if (w.scenario == "clustered") {
-    s.cluster_fraction = w.cluster_fraction < 1.0 ? w.cluster_fraction : 0.5;
-  } else if (w.scenario != "uniform") {
-    throw std::invalid_argument("tune: unknown scenario '" + w.scenario + "'");
-  }
+  MeasureSpec s{c, w};
   if (c.nprocs > 1) {
     s.mode = c.nthreads > 1 ? MeasureSpec::Mode::kHybrid
                             : MeasureSpec::Mode::kMp;
@@ -74,7 +62,7 @@ double phase_total(const PhaseTotals& t, trace::Phase p) {
 
 }  // namespace
 
-TuneRow measure_tune_point(const TuneWorkload& w, const RunKnobs& c,
+TuneRow measure_tune_point(const Workload& w, const RunKnobs& c,
                            std::uint64_t iterations, std::uint64_t warmup,
                            double min_seconds, int reps) {
   auto& tracer = trace::Tracer::global();
@@ -214,10 +202,10 @@ std::string format_tune_rows(std::span<const TuneRow> rows) {
   for (const MeasuredColumn& c : kMeasuredColumns) os << ' ' << c.name;
   os << '\n';
   for (const TuneRow& r : rows) {
-    os << r.workload.scenario << ' ' << r.workload.D << ' ' << r.workload.n
-       << ' ' << r.workload.rc_factor << ' ' << r.workload.velocity_scale
-       << ' ' << r.workload.settled_stride << ' '
-       << r.workload.cluster_fraction;
+    const Workload& w = r.workload;
+    os << to_string(w.scenario) << ' ' << w.D << ' ' << w.n << ' '
+       << w.rc_factor << ' ' << w.velocity_scale << ' ' << w.settled_stride
+       << ' ' << w.cluster_fraction;
     for_each_knob(r.config, [&](const char*, const auto& v) {
       using T = std::decay_t<decltype(v)>;
       os << ' ';
@@ -278,7 +266,7 @@ std::vector<TuneRow> parse_tune_rows(const std::string& text) {
       return std::stod(field(name));
     };
     TuneRow r;
-    r.workload.scenario = field("scenario");
+    r.workload.scenario = scenario_from_string(field("scenario"));
     r.workload.D = static_cast<int>(num("D"));
     r.workload.n = static_cast<std::uint64_t>(num("n"));
     r.workload.rc_factor = num("rc");
@@ -383,35 +371,26 @@ FittedModel fit_model(std::span<const TuneRow> rows) {
   }
   FittedModel m;
   // Class-rate table: mean rebuild rate and imbalance per (scenario, skin).
+  std::vector<std::size_t> counts;
   for (const TuneRow& r : rows) {
-    FittedModel::ClassRates* entry = nullptr;
-    for (auto& c : m.rates) {
-      if (c.scenario == r.workload.scenario &&
-          std::abs(c.skin - r.config.skin_factor) < 1e-12) {
-        entry = &c;
-        break;
-      }
+    std::size_t k = 0;
+    while (k < m.rates.size() &&
+           !(m.rates[k].scenario == r.workload.scenario &&
+             std::abs(m.rates[k].skin - r.config.skin_factor) < 1e-12)) {
+      ++k;
     }
-    if (entry == nullptr) {
+    if (k == m.rates.size()) {
       m.rates.push_back(
           {r.workload.scenario, r.config.skin_factor, 0.0, 0.0});
-      entry = &m.rates.back();
+      counts.push_back(0);
     }
-    entry->rebuilds_per_step += r.rebuilds_per_step;
-    entry->imbalance += r.imbalance;
+    m.rates[k].rebuilds_per_step += r.rebuilds_per_step;
+    m.rates[k].imbalance += r.imbalance;
+    ++counts[k];
   }
-  for (auto& c : m.rates) {
-    std::size_t count = 0;
-    for (const TuneRow& r : rows) {
-      if (c.scenario == r.workload.scenario &&
-          std::abs(c.skin - r.config.skin_factor) < 1e-12) {
-        ++count;
-      }
-    }
-    if (count > 0) {
-      c.rebuilds_per_step /= static_cast<double>(count);
-      c.imbalance /= static_cast<double>(count);
-    }
+  for (std::size_t k = 0; k < m.rates.size(); ++k) {
+    m.rates[k].rebuilds_per_step /= static_cast<double>(counts[k]);
+    m.rates[k].imbalance /= static_cast<double>(counts[k]);
   }
 
   // Per-phase fits.  Fitting uses each row's own measured rebuild rate;
@@ -445,7 +424,7 @@ FittedModel fit_model(std::span<const TuneRow> rows) {
 // --- prediction ------------------------------------------------------------
 
 std::vector<RankedConfig> predict_ranked(
-    const FittedModel& model, const TuneWorkload& w,
+    const FittedModel& model, const Workload& w,
     std::span<const RunKnobs> candidates) {
   std::vector<RankedConfig> out;
   out.reserve(candidates.size());
@@ -471,7 +450,7 @@ std::vector<RankedConfig> predict_ranked(
   return out;
 }
 
-ServingChoice choose_serving(const FittedModel& model, const TuneWorkload& w,
+ServingChoice choose_serving(const FittedModel& model, const Workload& w,
                              const RunKnobs& job, bool latency_sensitive,
                              int max_threads,
                              double target_quantum_seconds) {

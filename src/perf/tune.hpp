@@ -34,8 +34,9 @@
 // missing a required column fails loudly.  All *_s columns are seconds
 // per step averaged over ranks; step_s is the slowest rank's wall clock
 // per step (their difference, with the named phases, is scheduling slack
-// recorded in other_s).  scenario is a bare token, reduction a strategy
-// name (reduction/kind.hpp); booleans are 0/1.
+// recorded in other_s).  scenario is a scenario name (core/init.hpp; an
+// unknown one fails the parse), reduction a strategy name
+// (reduction/kind.hpp); booleans are 0/1.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,7 @@ namespace hdem::perf {
 
 // One measured grid point.
 struct TuneRow {
-  TuneWorkload workload;
+  Workload workload;
   RunKnobs config;  // the full effective knob set of the run
   int simd_width = 1;
   std::uint64_t iterations = 0;
@@ -80,7 +81,7 @@ struct TuneRow {
 
 // Grid specification for one workload class.
 struct SweepSpec {
-  TuneWorkload workload;
+  Workload workload;
   std::vector<int> procs{1, 2, 4};
   std::vector<int> threads{1, 2};
   std::vector<int> blocks{1, 2};
@@ -103,7 +104,7 @@ struct SweepSpec {
 // Measure one grid point: per-phase times come from the global tracer
 // (enabled for the duration, restored afterwards); the window re-runs
 // with doubled iterations until it spans min_seconds.
-TuneRow measure_tune_point(const TuneWorkload& w, const RunKnobs& c,
+TuneRow measure_tune_point(const Workload& w, const RunKnobs& c,
                            std::uint64_t iterations, std::uint64_t warmup,
                            double min_seconds, int reps);
 
@@ -144,7 +145,7 @@ struct RankedConfig {
 // Score and sort candidates, fastest predicted step time first (ties go
 // to the cheaper CPU-seconds config).
 std::vector<RankedConfig> predict_ranked(const FittedModel& model,
-                                         const TuneWorkload& w,
+                                         const Workload& w,
                                          std::span<const RunKnobs> candidates);
 
 // The serving layer's admission decision for one job class: how many
@@ -159,7 +160,7 @@ struct ServingChoice {
   double predicted_step_seconds = 0.0;
 };
 
-ServingChoice choose_serving(const FittedModel& model, const TuneWorkload& w,
+ServingChoice choose_serving(const FittedModel& model, const Workload& w,
                              const RunKnobs& job, bool latency_sensitive,
                              int max_threads,
                              double target_quantum_seconds = 0.004);

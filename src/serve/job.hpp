@@ -47,30 +47,9 @@ inline DeadlineClass deadline_from_string(const std::string& s) {
   throw std::invalid_argument("deadline class must be interactive or batch, got '" + s + "'");
 }
 
-// The scenario registry: every entry maps to one of the deterministic
-// initial-condition generators in core/init.hpp.
-enum class Scenario : std::uint8_t {
-  kUniform,    // the paper's uniform random benchmark system
-  kClustered,  // settled-sand pile (bottom fraction of the box)
-  kSettled,    // near-static lattice bed with a sparse moving minority
-};
-
-inline const char* to_string(Scenario s) {
-  switch (s) {
-    case Scenario::kUniform: return "uniform";
-    case Scenario::kClustered: return "clustered";
-    case Scenario::kSettled: return "settled";
-  }
-  return "?";
-}
-
-inline Scenario scenario_from_string(const std::string& s) {
-  if (s == "uniform") return Scenario::kUniform;
-  if (s == "clustered") return Scenario::kClustered;
-  if (s == "settled") return Scenario::kSettled;
-  throw std::invalid_argument(
-      "scenario must be uniform, clustered or settled, got '" + s + "'");
-}
+// The scenario registry is core's (core/init.hpp); serve::Scenario names
+// the same enum.
+using hdem::Scenario;
 
 // One line of a job trace: what to simulate, for how many steps, and how
 // urgently.  The spec is the complete description — rebuilding a job from
@@ -118,33 +97,16 @@ inline RunKnobs job_knobs(const JobSpec& spec) {
   return k;
 }
 
-namespace detail {
-
-template <int D>
-SimConfig<D> job_config(const JobSpec& spec) {
-  SimConfig<D> cfg{job_knobs(spec)};
-  cfg.box = Vec<D>(SimConfig<D>::paper_box_edge(spec.n));
-  cfg.seed = job_seed(spec.seed, spec.job_id);
-  cfg.velocity_scale = spec.velocity_scale;
-  return cfg;
+// What a job simulates.  Admission (perf::choose_serving) predicts from
+// it, and make_job builds the job's config and particles through it.
+inline Workload job_workload(const JobSpec& spec) {
+  return {.scenario = spec.scenario,
+          .D = spec.dim,
+          .n = spec.n,
+          .velocity_scale = spec.velocity_scale,
+          .settled_stride = spec.settled_stride,
+          .cluster_fraction = spec.clustered_fraction};
 }
-
-template <int D>
-std::vector<ParticleInit<D>> job_particles(const SimConfig<D>& cfg,
-                                           const JobSpec& spec) {
-  switch (spec.scenario) {
-    case Scenario::kUniform:
-      return uniform_random_particles(cfg, spec.n);
-    case Scenario::kClustered:
-      return clustered_particles(cfg, spec.n, spec.clustered_fraction);
-    case Scenario::kSettled:
-      return settled_bed_particles(cfg, spec.n, spec.settled_stride,
-                                   spec.velocity_scale);
-  }
-  throw std::invalid_argument("job_particles: unknown scenario");
-}
-
-}  // namespace detail
 
 // Type-erased resumable job.  A scheduler worker only ever needs four
 // things: advance a quantum, ask whether the budget is spent, read the
@@ -231,8 +193,10 @@ class DriverJob : public SimJob {
 template <int D>
 std::unique_ptr<SimJob> make_job_d(const JobSpec& spec) {
   const RunKnobs knobs = job_knobs(spec);
-  const SimConfig<D> cfg = job_config<D>(spec);
-  const auto init = job_particles<D>(cfg, spec);
+  const Workload w = job_workload(spec);
+  SimConfig<D> cfg = workload_config<D>(w, knobs);
+  cfg.seed = job_seed(spec.seed, spec.job_id);
+  const auto init = workload_particles<D>(cfg, w);
   const ElasticSphere model{cfg.stiffness, cfg.diameter};
   auto sim = std::make_unique<SmpSim<D>>(cfg, model, init, knobs.nthreads,
                                          knobs.reduction);

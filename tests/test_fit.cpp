@@ -162,7 +162,7 @@ std::vector<TuneRow> synthetic_rows(const FittedModel& truth) {
         if (p == 1 && b != 1) continue;
         for (const double skin : {0.0, 0.3}) {
           TuneRow r;
-          r.workload.scenario = "uniform";
+          r.workload.scenario = Scenario::kUniform;
           r.workload.n = 4000;
           r.config.nprocs = p;
           r.config.nthreads = t;
@@ -247,7 +247,7 @@ TEST(FitModel, NarrowServingGridStillFits) {
 TEST(TuneFile, RoundTrip) {
   std::vector<TuneRow> rows;
   TuneRow r;
-  r.workload.scenario = "settled";
+  r.workload.scenario = Scenario::kSettled;
   r.workload.D = 2;
   r.workload.n = 1234;
   r.workload.settled_stride = 8;
@@ -294,7 +294,7 @@ TEST(TuneFile, RoundTrip) {
   const auto back = parse_tune_rows(text);
   ASSERT_EQ(back.size(), 1u);
   const TuneRow& b = back[0];
-  EXPECT_EQ(b.workload.scenario, "settled");
+  EXPECT_EQ(b.workload.scenario, Scenario::kSettled);
   EXPECT_EQ(b.workload.n, 1234u);
   EXPECT_EQ(b.workload.settled_stride, 8u);
   EXPECT_TRUE(b.config == r.config);
@@ -306,6 +306,72 @@ TEST(TuneFile, RoundTrip) {
   EXPECT_NEAR(b.halo_wait_s, r.halo_wait_s, 1e-12);
   EXPECT_NEAR(b.imbalance, r.imbalance, 1e-12);
   EXPECT_NEAR(b.rebuilds_per_step, r.rebuilds_per_step, 1e-12);
+}
+
+// Rows of the v2 files committed under results/tune/ (fig15_hot.tune,
+// fig15_settled.tune): uniform rows carry stride 0 and cluster 1, the
+// settled row stride 8.  Such a file loads and fits without re-measuring,
+// and formats back with the same columns and rows.
+TEST(TuneFile, ParsesParentRows) {
+  const std::string columns =
+      "# columns: scenario D n rc velocity stride cluster P T B reduction"
+      " fused overlap steal rebalance rebalance_threshold shared_halo"
+      " ranks_per_node skin skin_cap halo_delta halo_coalesce reorder"
+      " drift_measured simd iters rebuild_rate imbalance force_s rebuild_s"
+      " halo_wire_s halo_shared_s halo_wait_s migrate_s rebalance_s other_s"
+      " step_s\n";
+  const std::string data =
+      "uniform 2 800 1.5 0.25 0 1 1 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 2 128 0.015625 1 7.27352188e-05 3.80016407e-06 0 0 0 0 0"
+      " 3.94789058e-07 7.69301719e-05\n"
+      "uniform 2 800 1.5 0.25 0 1 2 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 2 64 0.0078125 1.01280098 9.77598752e-05 5.01882032e-06"
+      " 2.74313282e-06 0 5.40330468e-06 2.22226546e-07 0 1.73751795e-05"
+      " 0.000123119234\n"
+      "settled 2 800 1.5 0.25 8 1 1 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 2 128 0.0078125 1 6.97873437e-05 1.42677344e-06 0 0 0 0 0"
+      " 4.59312531e-07 7.16734297e-05\n";
+  const std::string text =
+      "# hdem-tune v2\n"
+      "# host: 1 node(s) x 1 cpu(s), t_pair=20ns, simd_isa=sse2,"
+      " simd_gain=1 | host kernels: compiled=sse2, active=sse2, width=2\n"
+      "# per-phase *_s columns: seconds per step, mean over ranks; step_s:"
+      " slowest rank's wall per step\n" +
+      columns + data;
+
+  const auto rows = parse_tune_rows(text);
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[0].workload.scenario, Scenario::kUniform);
+  EXPECT_EQ(rows[0].workload.settled_stride, 0u);
+  EXPECT_EQ(rows[0].workload.cluster_fraction, 1.0);
+  EXPECT_EQ(rows[1].config.nprocs, 2);
+  EXPECT_EQ(rows[2].workload.scenario, Scenario::kSettled);
+  EXPECT_EQ(rows[2].workload.settled_stride, 8u);
+  EXPECT_EQ(rows[2].workload.velocity_scale, 0.25);
+
+  const FittedModel model = fit_model(rows);
+  EXPECT_TRUE(model.fitted());
+  ASSERT_EQ(model.rates.size(), 2u);
+  EXPECT_EQ(model.rebuilds_per_step(rows[2].workload, 0.0), 0.0078125);
+  EXPECT_GT(model.predict(rows[0].workload, rows[0].config).total(), 0.0);
+
+  const std::string back = format_tune_rows(rows);
+  EXPECT_NE(back.find(columns), std::string::npos) << back;
+  EXPECT_NE(back.find(columns + data), std::string::npos) << back;
+}
+
+TEST(TuneFile, RejectsUnknownScenario) {
+  std::string text = format_tune_rows(std::vector<TuneRow>(1));
+  const auto row = text.find("\nuniform ");
+  ASSERT_NE(row, std::string::npos) << text;
+  text.replace(row + 1, std::string("uniform").size(), "sandpile");
+  try {
+    parse_tune_rows(text);
+    ADD_FAILURE() << "no error for scenario 'sandpile'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'sandpile'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TuneFile, ParsesByColumnNameNotPosition) {
@@ -391,7 +457,7 @@ TEST(ChooseServing, LatencyScalesBatchConserves) {
   // at any T) the smallest team.
   FittedModel model;
   model.beta[FittedModel::kForce] = {1e-6, 0.0, 0.0, 0.0};  // n_r / T
-  const TuneWorkload w;  // n = 4000
+  const Workload w;  // n = 4000
   const auto latency = choose_serving(model, w, {}, true, 4);
   EXPECT_EQ(latency.inner_threads, 4);
   const auto batch = choose_serving(model, w, {}, false, 4);
@@ -405,7 +471,7 @@ TEST(ChooseServing, FlatScalingKeepsOneThread) {
   FittedModel model;
   model.beta[FittedModel::kForce] = {0.0, 1e-6, 0.0, 0.0};   // n_r, T-free
   model.beta[FittedModel::kOther] = {0.0, 5e-4, 0.0, 0.0};   // (T-1) cost
-  const TuneWorkload w;
+  const Workload w;
   EXPECT_EQ(choose_serving(model, w, {}, true, 4).inner_threads, 1);
   EXPECT_EQ(choose_serving(model, w, {}, false, 4).inner_threads, 1);
 }
@@ -413,7 +479,7 @@ TEST(ChooseServing, FlatScalingKeepsOneThread) {
 TEST(ChooseServing, QuantumTargetsFixedWorkAndClamps) {
   FittedModel model;
   model.beta[FittedModel::kForce] = {0.0, 1e-6, 0.0, 0.0};  // step = 1e-6 n
-  TuneWorkload w;
+  Workload w;
   w.n = 400;  // step 4e-4 -> 0.004/4e-4 = 10 steps per quantum
   EXPECT_EQ(choose_serving(model, w, {}, false, 1).quantum_steps, 10u);
   w.n = 4;  // tiny step -> clamp high

@@ -2,8 +2,65 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 namespace hdem::perf {
 namespace {
+
+template <int D>
+bool same_particles(const std::vector<ParticleInit<D>>& a,
+                    const std::vector<ParticleInit<D>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i].pos, &b[i].pos, sizeof(Vec<D>)) != 0 ||
+        std::memcmp(&a[i].vel, &b[i].vel, sizeof(Vec<D>)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+template <int D>
+void expect_scenarios_build_their_generators() {
+  Workload w;
+  w.D = D;
+  w.n = 500;
+  w.rc_factor = 2.0;
+  w.velocity_scale = 0.3;
+  w.settled_stride = 7;
+  w.cluster_fraction = 0.25;
+  ListKnobs knobs;
+  knobs.skin_factor = 0.1;
+  SimConfig<D> cfg = workload_config<D>(w, knobs);
+  cfg.seed = 77;
+  EXPECT_EQ(cfg.box, Vec<D>(SimConfig<D>::paper_box_edge(500)));
+  EXPECT_EQ(cfg.cutoff_factor, 2.0);
+  EXPECT_EQ(cfg.velocity_scale, 0.3);
+  EXPECT_EQ(cfg.skin_factor, 0.1);
+
+  const auto uniform = uniform_random_particles(cfg, 500);
+  const auto clustered = clustered_particles(cfg, 500, 0.25);
+  const auto settled = settled_bed_particles(cfg, 500, 7, 0.3);
+  w.scenario = Scenario::kUniform;
+  EXPECT_TRUE(same_particles<D>(workload_particles(cfg, w), uniform));
+  w.scenario = Scenario::kClustered;
+  EXPECT_TRUE(same_particles<D>(workload_particles(cfg, w), clustered));
+  w.scenario = Scenario::kSettled;
+  EXPECT_TRUE(same_particles<D>(workload_particles(cfg, w), settled));
+  // The three generators differ, so the matches above pin the switch.
+  EXPECT_FALSE(same_particles<D>(uniform, clustered));
+  EXPECT_FALSE(same_particles<D>(uniform, settled));
+}
+
+TEST(Workload, EveryScenarioBuildsItsGenerator) {
+  expect_scenarios_build_their_generators<2>();
+  expect_scenarios_build_their_generators<3>();
+  for (const Scenario s :
+       {Scenario::kUniform, Scenario::kClustered, Scenario::kSettled}) {
+    EXPECT_EQ(scenario_from_string(to_string(s)), s);
+  }
+}
 
 TEST(Measure, SerialRunPopulatesCounters) {
   MeasureSpec s;
@@ -144,6 +201,7 @@ TEST(Measure, ClusteredWorkloadIsImbalanced) {
   s.mode = MeasureSpec::Mode::kMp;
   s.nprocs = 4;
   s.blocks_per_proc = 1;
+  s.scenario = Scenario::kClustered;
   s.cluster_fraction = 0.5;
   s.iterations = 2;
   const auto m = measure_run(s);

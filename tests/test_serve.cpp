@@ -107,7 +107,7 @@ TEST(MakeJob, ValidatesSpec) {
   EXPECT_THROW(make_job(bad_threads), std::invalid_argument);
   JobSpec bad_n = small_spec(1, Scenario::kUniform, 0, 1);
   EXPECT_THROW(make_job(bad_n), std::invalid_argument);
-  EXPECT_THROW(serve::scenario_from_string("nope"), std::invalid_argument);
+  EXPECT_THROW(scenario_from_string("nope"), std::invalid_argument);
   EXPECT_THROW(serve::deadline_from_string("nope"), std::invalid_argument);
 }
 
