@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -27,6 +28,9 @@ namespace {
 constexpr double kMinWindowSeconds = 1e-4;
 constexpr int kMaxRepetitions = 1 << 24;
 
+// Interleaved timing rounds per primitive in measure_sync_overheads.
+constexpr int kSyncRounds = 7;
+
 // Run body(reps) with a doubling repetition count until the window spans
 // kMinWindowSeconds; returns the per-repetition cost, never 0 or NaN.
 template <class Body>
@@ -49,44 +53,47 @@ SyncOverheads measure_sync_overheads(int threads, int repetitions) {
   smp::ThreadTeam team(threads);
   SyncOverheads o;
   o.threads = threads;
+  o.fork_join = o.parallel_for = o.barrier = o.critical = o.atomic_add =
+      std::numeric_limits<double>::infinity();
+  const auto keep_best = [](double& best, double secs) {
+    best = std::min(best, secs);
+  };
+  volatile double sink = 0.0;
+  alignas(64) double target = 0.0;
 
-  // empty parallel region (fork + join)
-  o.fork_join = timed_per_rep(repetitions, [&](int reps) {
-    for (int r = 0; r < reps; ++r) team.parallel([](int) {});
-  });
-  // empty static-schedule parallel_for
-  o.parallel_for = timed_per_rep(repetitions, [&](int reps) {
-    for (int r = 0; r < reps; ++r) {
-      team.parallel_for(0, threads, [](int, std::int64_t, std::int64_t) {});
-    }
-  });
-  // barrier episodes inside one region
-  o.barrier = timed_per_rep(repetitions, [&](int reps) {
-    team.parallel([&](int) {
-      for (int r = 0; r < reps; ++r) team.barrier();
-    });
-  });
-  {  // critical-section entries (every thread competes)
-    volatile double sink = 0.0;
-    o.critical = timed_per_rep(repetitions, [&](int reps) {
-                   team.parallel([&](int) {
-                     for (int r = 0; r < reps; ++r) {
-                       team.critical([&] { sink = sink + 1.0; });
-                     }
-                   });
-                 }) /
-                 threads;
-  }
-  {  // contended atomic accumulation
-    alignas(64) double target = 0.0;
-    o.atomic_add = timed_per_rep(repetitions, [&](int reps) {
-                     team.parallel([&](int) {
-                       for (int r = 0; r < reps; ++r) {
-                         smp::atomic_add(target, 1.0);
-                       }
-                     });
-                   }) /
-                   threads;
+  // Every round times each primitive once, so a slow stretch of the host
+  // lands on all of them alike; each keeps its best round.
+  for (int round = 0; round < kSyncRounds; ++round) {
+    // empty parallel region (fork + join)
+    keep_best(o.fork_join, timed_per_rep(repetitions, [&](int reps) {
+      for (int r = 0; r < reps; ++r) team.parallel([](int) {});
+    }));
+    // empty static-schedule parallel_for
+    keep_best(o.parallel_for, timed_per_rep(repetitions, [&](int reps) {
+      for (int r = 0; r < reps; ++r) {
+        team.parallel_for(0, threads, [](int, std::int64_t, std::int64_t) {});
+      }
+    }));
+    // barrier episodes inside one region
+    keep_best(o.barrier, timed_per_rep(repetitions, [&](int reps) {
+      team.parallel([&](int) {
+        for (int r = 0; r < reps; ++r) team.barrier();
+      });
+    }));
+    // critical-section entries (every thread competes)
+    keep_best(o.critical, timed_per_rep(repetitions, [&](int reps) {
+                team.parallel([&](int) {
+                  for (int r = 0; r < reps; ++r) {
+                    team.critical([&] { sink = sink + 1.0; });
+                  }
+                });
+              }) / threads);
+    // contended atomic accumulation
+    keep_best(o.atomic_add, timed_per_rep(repetitions, [&](int reps) {
+                team.parallel([&](int) {
+                  for (int r = 0; r < reps; ++r) smp::atomic_add(target, 1.0);
+                });
+              }) / threads);
   }
   return o;
 }

@@ -24,6 +24,10 @@ struct SyncOverheads {
   double atomic_add = 0.0;     // seconds per contended atomic accumulation
 };
 
+// Times every primitive in several interleaved rounds of `repetitions`
+// episodes (more when a window is too short to resolve) and reports each
+// primitive's best round, so that two primitives, or two builds, compare
+// on the same host state.
 SyncOverheads measure_sync_overheads(int threads, int repetitions = 1000);
 
 // Overhead per block per iteration of a hybrid run that executes

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <vector>
 
 #include "ci_knobs.hpp"
@@ -216,11 +217,21 @@ TEST(Steal, SmpTrajectoryBitIdenticalAcrossTeamSizes) {
     // same bits.
     EXPECT_EQ(e, e1) << "threads=" << threads;
     std::vector<double> e_static;
-    smp_raw_positions<2>(cfg, init, threads, false, steps, &e_static);
+    Counters c_static;
+    smp_raw_positions<2>(cfg, init, threads, false, steps, &e_static,
+                         &c_static);
     EXPECT_EQ(e_static, e1) << "static, threads=" << threads;
-    // The per-thread cost counters saw every thread do work.
+    // The per-thread cost counters cover the team.  Under stealing an
+    // awake thread may claim every chunk of a phase, so only the sum must
+    // show work; the static schedule fixes each thread's chunks, so there
+    // every thread must have done work.
     ASSERT_EQ(c.thread_cost_ns.size(), static_cast<std::size_t>(threads));
-    for (const auto ns : c.thread_cost_ns) EXPECT_GT(ns, 0u);
+    EXPECT_GT(std::accumulate(c.thread_cost_ns.begin(),
+                              c.thread_cost_ns.end(), std::uint64_t{0}),
+              0u);
+    ASSERT_EQ(c_static.thread_cost_ns.size(),
+              static_cast<std::size_t>(threads));
+    for (const auto ns : c_static.thread_cost_ns) EXPECT_GT(ns, 0u);
   }
 }
 
