@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       s.blocks_per_proc = bpp;
       s.reduction = ReductionKind::kSelectedAtomic;
       s.iterations = ctx.iters;
-      const auto run = perf::measure_run(s).run;
+      const auto run = perf::measure_run(s);
       const double frac =
           static_cast<double>(run.agg.atomic_updates) /
           std::max<double>(1.0, static_cast<double>(run.agg.atomic_updates +

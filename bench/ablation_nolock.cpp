@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     mpi.blocks_per_proc = bpp;
     mpi.iterations = ctx.iters;
     const double t_mpi =
-        predict_paper_seconds(machine, perf::measure_run(mpi).run, 4);
+        predict_paper_seconds(machine, perf::measure_run(mpi), 4);
 
     auto hybrid_time = [&](ReductionKind kind) {
       perf::MeasureSpec hyb = mpi;
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       hyb.nprocs = 4;
       hyb.nthreads = 4;
       hyb.reduction = kind;
-      return predict_paper_seconds(machine, perf::measure_run(hyb).run, 1);
+      return predict_paper_seconds(machine, perf::measure_run(hyb), 1);
     };
     const double t_sel = hybrid_time(ReductionKind::kSelectedAtomic);
     const double t_colored = hybrid_time(ReductionKind::kColored);

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       s.reorder = reorder;
       s.mode = perf::MeasureSpec::Mode::kSerial;
       s.iterations = ctx.iters;
-      return predict_paper_seconds(machine, perf::measure_run(s).run, 1);
+      return predict_paper_seconds(machine, perf::measure_run(s), 1);
     };
     for (auto [D, rcf] : {std::pair{2, 1.5}, {3, 1.5}}) {
       const double sr = serial_time(D, rcf, false);
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       s.nthreads = 4;
       s.reduction = ReductionKind::kSelectedAtomic;
       s.iterations = ctx.iters;
-      return predict_paper_seconds(machine, perf::measure_run(s).run, 1);
+      return predict_paper_seconds(machine, perf::measure_run(s), 1);
     };
     const double tr = smp_time(false), to = smp_time(true);
     t.add_row({platform, "OpenMP T=4", "3", "1.5", Table::num(tr, 2),

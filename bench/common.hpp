@@ -84,7 +84,7 @@ inline void calibrate_platforms(BenchContext& ctx) {
       s.reorder = reorder;
       s.mode = perf::MeasureSpec::Mode::kSerial;
       s.iterations = ctx.iters;
-      runs.push_back(perf::measure_run(s).run);
+      runs.push_back(perf::measure_run(s));
     }
   }
   ctx.calibrations.clear();
@@ -92,8 +92,9 @@ inline void calibrate_platforms(BenchContext& ctx) {
        {perf::t3e900(), perf::sun_hpc3500(), perf::compaq_es40_cluster()}) {
     std::vector<perf::CalibrationObservation> obs;
     for (const auto& r : runs) {
-      obs.push_back({r, perf::paper_serial_seconds(base.name, r.D,
-                                                   r.rc_factor, r.reordered)});
+      obs.push_back({r, perf::paper_serial_seconds(
+                            base.name, r.workload.D, r.workload.rc_factor,
+                            r.knobs.reorder)});
     }
     auto res = perf::calibrate(base, obs, perf::kPaperParticles);
     if (base.name == "T3E") ctx.t3e = res.spec;

@@ -35,11 +35,11 @@ ImbalancedPrediction predict_imbalanced(const perf::MachineSpec& machine,
   ImbalancedPrediction out;
   double worst = 0.0, total_evals = 0.0, max_evals = 0.0;
   for (const auto& rank_counters : run.per_rank) {
-    perf::RunMeasurement one = run;  // copies D, n, layout metadata
+    perf::RunMeasurement one = run;  // copies the workload and knobs
     one.per_rank.clear();
     one.bytes_matrix.clear();
     one.msgs_matrix.clear();
-    one.nprocs = 1;
+    one.knobs.nprocs = 1;
     one.agg = rank_counters;
     worst = std::max(worst,
                      perf::CostModel::predict(machine, one, layout).total());
@@ -99,17 +99,17 @@ int main(int argc, char** argv) {
     // it a longer settling window (see bench/fig11_clustered_balance for
     // the direct static-vs-adaptive wall-clock comparison).
     if (knobs.rebalance) mpi.warmup = 20;
-    const auto pm = predict_imbalanced(machine, perf::measure_run(mpi).run, 4);
+    const auto pm = predict_imbalanced(machine, perf::measure_run(mpi), 4);
 
     perf::MeasureSpec hyb = mpi;
     hyb.mode = perf::MeasureSpec::Mode::kHybrid;
     hyb.nprocs = 4;
     hyb.nthreads = 4;
-    const auto ph = predict_imbalanced(machine, perf::measure_run(hyb).run, 1);
+    const auto ph = predict_imbalanced(machine, perf::measure_run(hyb), 1);
 
     perf::MeasureSpec fus = hyb;
     fus.fused = true;
-    const auto pf = predict_imbalanced(machine, perf::measure_run(fus).run, 1);
+    const auto pf = predict_imbalanced(machine, perf::measure_run(fus), 1);
 
     t.add_row({std::to_string(bpp), Table::num(pm.load_ratio, 2),
                Table::num(pm.seconds, 3), Table::num(ph.load_ratio, 2),

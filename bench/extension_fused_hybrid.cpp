@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
     mpi.blocks_per_proc = bpp;
     mpi.iterations = ctx.iters;
     const double t_mpi =
-        predict_paper_seconds(machine, perf::measure_run(mpi).run, 4);
+        predict_paper_seconds(machine, perf::measure_run(mpi), 4);
     if (bpp == 1) t_ref = t_mpi;
 
     auto hybrid_run = [&](bool fused) {
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       hyb.nthreads = 4;
       hyb.reduction = ReductionKind::kSelectedAtomic;
       hyb.fused = fused;
-      return perf::measure_run(hyb).run;
+      return perf::measure_run(hyb);
     };
     const auto run_std = hybrid_run(false);
     const auto run_fused = hybrid_run(true);
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     };
     auto regions_per_iter = [](const perf::RunMeasurement& r) {
       return static_cast<double>(r.agg.parallel_regions) /
-             static_cast<double>(r.nprocs) /
+             static_cast<double>(r.knobs.nprocs) /
              static_cast<double>(r.iterations);
     };
     t.add_row({std::to_string(bpp), Table::num(t_mpi, 3),

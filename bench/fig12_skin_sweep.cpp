@@ -106,9 +106,9 @@ IdentityRun run_identity_mp(double skin, double skin_cap, int nthreads,
 }
 
 // steps/sec over the measured window (warmup excluded).
-double steps_per_sec(const perf::MeasuredRun& m) {
+double steps_per_sec(const perf::RunMeasurement& m) {
   return m.host_seconds > 0.0
-             ? static_cast<double>(m.run.iterations) / m.host_seconds
+             ? static_cast<double>(m.iterations) / m.host_seconds
              : 0.0;
 }
 
@@ -243,10 +243,10 @@ int main(int argc, char** argv) {
       points.push_back(spec);
     }
   }
-  std::vector<perf::MeasuredRun> best(points.size());
+  std::vector<perf::RunMeasurement> best(points.size());
   for (int rep = 0; rep < std::max(reps, 1); ++rep) {
     for (std::size_t i = 0; i < points.size(); ++i) {
-      perf::MeasuredRun m = perf::measure_run(points[i]);
+      perf::RunMeasurement m = perf::measure_run(points[i]);
       if (rep == 0 || m.host_seconds < best[i].host_seconds) {
         best[i] = std::move(m);
       }
@@ -256,18 +256,18 @@ int main(int argc, char** argv) {
   json << "\n  ],\n  \"throughput\": [";
   first = true;
   double best_speedup = 0.0, best_skin = 0.0;
-  perf::MeasuredRun settled_base, settled_best;
+  perf::RunMeasurement settled_base, settled_best;
   Table tp({"workload", "skin", "steps/s", "speedup", "rebuilds/iter",
             "links_core", "reuse"});
   std::size_t point = 0;
   for (const auto& w : workloads) {
     double base_sps = 0.0;
     for (const double skin : sweep_skins) {
-      const perf::MeasuredRun& m = best[point++];
+      const perf::RunMeasurement& m = best[point++];
       const double sps = steps_per_sec(m);
       if (skin == 0.0) base_sps = sps;
       const double speedup = base_sps > 0.0 ? sps / base_sps : 0.0;
-      const auto reuse = perf::reuse_summary(m.run.agg);
+      const auto reuse = perf::reuse_summary(m.agg);
       if (std::strcmp(w.name, "settled") == 0) {
         if (skin == 0.0) settled_base = m;
         if (speedup > best_speedup) {
@@ -278,19 +278,19 @@ int main(int argc, char** argv) {
       }
       tp.add_row({w.name, Table::num(skin, 2), Table::num(sps, 1),
                   Table::num(speedup, 3) + "x",
-                  Table::num(static_cast<double>(m.run.agg.rebuilds) /
-                                 static_cast<double>(m.run.iterations),
+                  Table::num(static_cast<double>(m.agg.rebuilds) /
+                                 static_cast<double>(m.iterations),
                              2),
-                  std::to_string(m.run.agg.links_core),
+                  std::to_string(m.agg.links_core),
                   perf::reuse_line(reuse)});
       json << (first ? "" : ",") << "\n    {\"workload\": \"" << w.name
            << "\", \"skin\": " << skin << ", \"velocity_scale\": "
            << w.velocity_scale << ", \"steps_per_sec\": " << sps
            << ", \"speedup\": " << speedup
-           << ", \"rebuilds\": " << m.run.agg.rebuilds
-           << ", \"rebuilds_skipped\": " << m.run.agg.rebuilds_skipped
-           << ", \"iterations\": " << m.run.iterations
-           << ", \"links_core\": " << m.run.agg.links_core
+           << ", \"rebuilds\": " << m.agg.rebuilds
+           << ", \"rebuilds_skipped\": " << m.agg.rebuilds_skipped
+           << ", \"iterations\": " << m.iterations
+           << ", \"links_core\": " << m.agg.links_core
            << ", \"mean_reuse_interval\": " << reuse.mean_reuse_interval
            << "}";
       first = false;
@@ -316,13 +316,13 @@ int main(int argc, char** argv) {
   mspec.warmup = 2;
   mspec.iterations = iters;
   const auto mp_run = perf::measure_run(mspec);
-  const auto mp_reuse = perf::reuse_summary(mp_run.run.agg);
+  const auto mp_reuse = perf::reuse_summary(mp_run.agg);
   // Ranks skip the same steps (the reuse decision is global), so the
   // merged counters keep the per-run value; all three must agree.
   const bool mp_ok =
-      mp_run.run.agg.rebuilds_skipped > 0 &&
-      mp_run.run.agg.migrations_skipped == mp_run.run.agg.rebuilds_skipped &&
-      mp_run.run.agg.halo_rebuilds_skipped == mp_run.run.agg.rebuilds_skipped;
+      mp_run.agg.rebuilds_skipped > 0 &&
+      mp_run.agg.migrations_skipped == mp_run.agg.rebuilds_skipped &&
+      mp_run.agg.halo_rebuilds_skipped == mp_run.agg.rebuilds_skipped;
   out << "mp reuse (P=2, B/P=2, skin " << Table::num(best_skin, 2)
       << "): " << perf::reuse_line(mp_reuse) << " -> "
       << (mp_ok ? "migration + halo-template skips track list reuse"
@@ -337,10 +337,10 @@ int main(int argc, char** argv) {
   const auto model_rebuild = [](const perf::RunMeasurement& run) {
     return perf::CostModel::predict(perf::compaq_es40_cluster(), run).rebuild;
   };
-  const double measured_0 = rebuild_ns_per_iter(settled_base.run);
-  const double measured_b = rebuild_ns_per_iter(settled_best.run);
-  const double modeled_0 = model_rebuild(settled_base.run);
-  const double modeled_b = model_rebuild(settled_best.run);
+  const double measured_0 = rebuild_ns_per_iter(settled_base);
+  const double measured_b = rebuild_ns_per_iter(settled_best);
+  const double modeled_0 = model_rebuild(settled_base);
+  const double modeled_b = model_rebuild(settled_best);
   const double measured_ratio = measured_0 > 0.0 ? measured_b / measured_0 : 0.0;
   const double modeled_ratio = modeled_0 > 0.0 ? modeled_b / modeled_0 : 0.0;
   const double agreement =
@@ -353,11 +353,11 @@ int main(int argc, char** argv) {
       << "x (tolerance 0.5-2.0x) -> " << (model_ok ? "PASS" : "FAIL") << "\n\n";
 
   json << "\n  ],\n  \"mp_reuse\": {\"skin\": " << best_skin
-       << ", \"rebuilds_skipped\": " << mp_run.run.agg.rebuilds_skipped
-       << ", \"migrations_skipped\": " << mp_run.run.agg.migrations_skipped
+       << ", \"rebuilds_skipped\": " << mp_run.agg.rebuilds_skipped
+       << ", \"migrations_skipped\": " << mp_run.agg.migrations_skipped
        << ", \"halo_rebuilds_skipped\": "
-       << mp_run.run.agg.halo_rebuilds_skipped
-       << ", \"window_republishes\": " << mp_run.run.agg.window_republishes
+       << mp_run.agg.halo_rebuilds_skipped
+       << ", \"window_republishes\": " << mp_run.agg.window_republishes
        << ", \"counters_consistent\": " << (mp_ok ? "true" : "false")
        << "},\n  \"model_check\": {\"measured_rebuild_ratio\": "
        << measured_ratio << ", \"modeled_rebuild_ratio\": " << modeled_ratio

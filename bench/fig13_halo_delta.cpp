@@ -147,7 +147,7 @@ perf::MeasureSpec settled_spec(bool delta, bool coalesce, int nprocs, int bpp,
 }
 
 struct SettledCase {
-  perf::MeasuredRun m;
+  perf::RunMeasurement m;
   double halo_seconds = 0.0;  // tracer kHaloSwap + kHaloWait + kHaloShared
 };
 
@@ -156,7 +156,7 @@ SettledCase run_settled(const perf::MeasureSpec& spec, int reps) {
   for (int r = 0; r < reps; ++r) {
     auto& tracer = trace::Tracer::global();
     tracer.enable(true);  // resets the epoch
-    perf::MeasuredRun m = perf::measure_run(spec);
+    perf::RunMeasurement m = perf::measure_run(spec);
     double halo = 0.0;
     for (const auto& s : tracer.summarize()) {
       if (s.phase == trace::Phase::kHaloSwap ||
@@ -269,24 +269,24 @@ int main(int argc, char** argv) {
                                 reps);
   const auto comp = run_settled(settled_spec(true, true, 4, 1, n_perf, iters),
                                 reps);
-  const double base_bytes = per_step(base.m.run.agg.halo_bytes_wire, iters);
-  const double comp_bytes = per_step(comp.m.run.agg.halo_bytes_wire, iters);
+  const double base_bytes = per_step(base.m.agg.halo_bytes_wire, iters);
+  const double comp_bytes = per_step(comp.m.agg.halo_bytes_wire, iters);
   const double reduction = comp_bytes > 0.0 ? base_bytes / comp_bytes : 0.0;
-  const bool comp_conserves = conserves(comp.m.run.agg);
-  const double hit = comp.m.run.agg.delta_hit_rate();
+  const bool comp_conserves = conserves(comp.m.agg);
+  const double hit = comp.m.agg.delta_hit_rate();
   const bool bytes_ok =
       reduction >= 1.5 && comp_conserves && hit > 0.0 &&
-      comp.m.run.agg.halo_bytes_eager > 0;
+      comp.m.agg.halo_bytes_eager > 0;
   conserve_ok = conserve_ok && comp_conserves;
 
   Table ts({"case", "wire B/step", "wire msgs/step", "hit", "summary"});
   ts.add_row({"eager", Table::num(base_bytes, 1),
-              Table::num(per_step(base.m.run.agg.halo_msgs_wire, iters), 2),
-              "-", perf::halo_line(perf::halo_summary(base.m.run.agg))});
+              Table::num(per_step(base.m.agg.halo_msgs_wire, iters), 2),
+              "-", perf::halo_line(perf::halo_summary(base.m.agg))});
   ts.add_row({"delta", Table::num(comp_bytes, 1),
-              Table::num(per_step(comp.m.run.agg.halo_msgs_wire, iters), 2),
+              Table::num(per_step(comp.m.agg.halo_msgs_wire, iters), 2),
               Table::num(100.0 * hit, 0) + "%",
-              perf::halo_line(perf::halo_summary(comp.m.run.agg))});
+              perf::halo_line(perf::halo_summary(comp.m.agg))});
   out << "Settled bed (n=" << n_perf << ", 20% mobile, skin 0.1, P=4, "
          "B/P=1):\n" << ts.render() << "\n";
   out << "wire byte reduction: " << Table::num(reduction, 2)
@@ -300,18 +300,18 @@ int main(int argc, char** argv) {
                                                iters), reps);
   const auto coal = run_settled(settled_spec(true, true, 2, 4, n_perf, iters),
                                 reps);
-  const double nocoal_msgs = per_step(nocoal.m.run.agg.halo_msgs_wire, iters);
-  const double coal_msgs = per_step(coal.m.run.agg.halo_msgs_wire, iters);
-  const int nblocks = coal.m.run.nblocks;
-  const bool coal_conserves = conserves(coal.m.run.agg);
+  const double nocoal_msgs = per_step(nocoal.m.agg.halo_msgs_wire, iters);
+  const double coal_msgs = per_step(coal.m.agg.halo_msgs_wire, iters);
+  const int nblocks = coal.m.knobs.nprocs * coal.m.knobs.blocks_per_proc;
+  const bool coal_conserves = conserves(coal.m.agg);
   const bool msgs_ok = coal_msgs < static_cast<double>(nblocks) &&
                        coal_msgs < nocoal_msgs &&
-                       coal.m.run.agg.msgs_coalesced > 0 && coal_conserves;
-  conserve_ok = conserve_ok && coal_conserves && conserves(nocoal.m.run.agg);
+                       coal.m.agg.msgs_coalesced > 0 && coal_conserves;
+  conserve_ok = conserve_ok && coal_conserves && conserves(nocoal.m.agg);
   out << "Coalescing (P=2, B/P=4, " << nblocks << " blocks): "
       << Table::num(nocoal_msgs, 1) << " wire msgs/step per-side -> "
       << Table::num(coal_msgs, 1) << " coalesced ("
-      << per_step(coal.m.run.agg.msgs_coalesced, iters)
+      << per_step(coal.m.agg.msgs_coalesced, iters)
       << " sides/step merged; gate: < " << nblocks << " msgs/step) -> "
       << (msgs_ok ? "PASS" : "FAIL") << "\n\n";
 
@@ -322,8 +322,8 @@ int main(int argc, char** argv) {
   const auto model_comm = [](const perf::RunMeasurement& run) {
     return perf::CostModel::predict(perf::compaq_es40_cluster(), run).comm;
   };
-  const double modeled_0 = model_comm(base.m.run);
-  const double modeled_d = model_comm(comp.m.run);
+  const double modeled_0 = model_comm(base.m);
+  const double modeled_d = model_comm(comp.m);
   const double modeled_ratio = modeled_0 > 0.0 ? modeled_d / modeled_0 : 0.0;
   const double host_ratio =
       base.halo_seconds > 0.0 ? comp.halo_seconds / base.halo_seconds : 0.0;
@@ -331,7 +331,7 @@ int main(int argc, char** argv) {
   const bool model_ok = agreement >= 0.5 && agreement <= 2.0;
   out << "cost model: comm term delta/eager = " << Table::num(modeled_ratio, 3)
       << " (modeled, change fraction "
-      << Table::num(perf::halo_change_fraction(comp.m.run), 3) << ") vs "
+      << Table::num(perf::halo_change_fraction(comp.m), 3) << ") vs "
       << Table::num(host_ratio, 3)
       << " (host halo-phase seconds); agreement " << Table::num(agreement, 2)
       << "x (tolerance 0.5-2.0x) -> " << (model_ok ? "PASS" : "FAIL")
@@ -343,9 +343,9 @@ int main(int argc, char** argv) {
        << ", \"delta_wire_bytes_per_step\": " << comp_bytes
        << ", \"reduction\": " << reduction
        << ", \"delta_hit_rate\": " << hit
-       << ", \"halo_bytes_eager\": " << comp.m.run.agg.halo_bytes_eager
-       << ", \"halo_bytes_delta\": " << comp.m.run.agg.halo_bytes_delta
-       << ", \"bytes_delta_saved\": " << comp.m.run.agg.bytes_delta_saved
+       << ", \"halo_bytes_eager\": " << comp.m.agg.halo_bytes_eager
+       << ", \"halo_bytes_delta\": " << comp.m.agg.halo_bytes_delta
+       << ", \"bytes_delta_saved\": " << comp.m.agg.bytes_delta_saved
        << ", \"conserved\": " << (comp_conserves ? "true" : "false")
        << ", \"ok\": " << (bytes_ok ? "true" : "false")
        << "},\n  \"coalescing\": {"
@@ -353,13 +353,13 @@ int main(int argc, char** argv) {
        << ", \"per_side_msgs_per_step\": " << nocoal_msgs
        << ", \"coalesced_msgs_per_step\": " << coal_msgs
        << ", \"sides_merged_per_step\": "
-       << per_step(coal.m.run.agg.msgs_coalesced, iters)
+       << per_step(coal.m.agg.msgs_coalesced, iters)
        << ", \"ok\": " << (msgs_ok ? "true" : "false")
        << "},\n  \"model_check\": {"
        << "\"modeled_comm_ratio\": " << modeled_ratio
        << ", \"host_halo_ratio\": " << host_ratio
        << ", \"change_fraction\": "
-       << perf::halo_change_fraction(comp.m.run)
+       << perf::halo_change_fraction(comp.m)
        << ", \"agreement\": " << agreement
        << ", \"tolerance\": [0.5, 2.0], \"ok\": "
        << (model_ok ? "true" : "false")

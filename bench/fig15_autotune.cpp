@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   std::ostringstream out;
   out << "Figure 15 (extension): closed-loop auto-tuning — sweep, fit, "
          "predict\n"
-      << perf::machine_report(perf::generic_host()) << "\n\n";
+      << perf::host_report() << "\n\n";
 
   const auto make_sweep = [&](Scenario scenario) {
     perf::SweepSpec sweep;

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
         spec.iterations = ctx.iters;
         const auto m = perf::measure_run(spec);
         const double tp = predict_paper_seconds(
-            machine, m.run, mpi_ranks_per_node(machine, s.nprocs));
+            machine, m, mpi_ranks_per_node(machine, s.nprocs));
         if (bpp == 1) t1 = tp;
         t.add_row({s.platform, std::to_string(D), std::to_string(s.nprocs),
                    std::to_string(bpp), Table::num(tp, 3),

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     omp.reduction = ReductionKind::kSelectedAtomic;
     omp.iterations = ctx.iters;
     const double t_omp =
-        predict_paper_seconds(machine, perf::measure_run(omp).run, 1);
+        predict_paper_seconds(machine, perf::measure_run(omp), 1);
 
     std::vector<double> xs, ys;
     double crossover = -1.0;
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       mpi.blocks_per_proc = bpp;
       mpi.iterations = ctx.iters;
       const double t_mpi =
-          predict_paper_seconds(machine, perf::measure_run(mpi).run, 4);
+          predict_paper_seconds(machine, perf::measure_run(mpi), 4);
       t.add_row({Table::num(rcf, 1), std::to_string(bpp),
                  Table::num(t_mpi, 3), Table::num(t_omp, 3),
                  Table::num(t_mpi / t_omp, 2)});

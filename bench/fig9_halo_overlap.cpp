@@ -42,10 +42,10 @@ struct Config {
 
 // Best-of-reps measurement: host timing on a shared machine is noisy and
 // the minimum is the least-contended run.
-perf::MeasuredRun measure_best(const perf::MeasureSpec& spec, int reps) {
-  perf::MeasuredRun best = perf::measure_run(spec);
+perf::RunMeasurement measure_best(const perf::MeasureSpec& spec, int reps) {
+  perf::RunMeasurement best = perf::measure_run(spec);
   for (int r = 1; r < reps; ++r) {
-    perf::MeasuredRun m = perf::measure_run(spec);
+    perf::RunMeasurement m = perf::measure_run(spec);
     if (m.host_seconds < best.host_seconds) best = std::move(m);
   }
   return best;
@@ -59,7 +59,7 @@ double exposed_fraction(const perf::RunMeasurement& run) {
 
 // Mean exposed wait per rank per iteration, in milliseconds.
 double exposed_ms_per_step(const perf::RunMeasurement& run) {
-  const double denom = static_cast<double>(run.nprocs) *
+  const double denom = static_cast<double>(run.knobs.nprocs) *
                        static_cast<double>(run.iterations);
   return static_cast<double>(run.agg.exposed_wait_ns) / 1e6 / denom;
 }
@@ -144,11 +144,10 @@ SharedRun run_shared_case(std::uint64_t n, int nprocs, int bpp, int nthreads,
 double modeled_comm_seconds(int np, int bpp, std::uint64_t n, int steps,
                             const Counters& agg) {
   perf::RunMeasurement run;
-  run.D = 3;
-  run.n_global = n;
-  run.nprocs = np;
-  run.nthreads = 1;
-  run.nblocks = np * bpp;
+  run.workload.D = 3;
+  run.workload.n = n;
+  run.knobs.nprocs = np;
+  run.knobs.blocks_per_proc = bpp;
   run.iterations = static_cast<std::uint64_t>(steps);
   run.agg = agg;
   run.bytes_matrix.assign(static_cast<std::size_t>(np) * np, 0);
@@ -230,11 +229,11 @@ int main(int argc, char** argv) {
       spec.overlap = true;
       const auto m = measure_best(spec, static_cast<int>(reps));
       t_on = m.host_seconds_per_iter();
-      frac = exposed_fraction(m.run);
-      exposed_ms = exposed_ms_per_step(m.run);
-      ov_bytes = m.run.agg.bytes_overlapped;
-      ex_bytes = m.run.agg.bytes_exposed;
-      waits_blocked = m.run.agg.waits_blocked;
+      frac = exposed_fraction(m);
+      exposed_ms = exposed_ms_per_step(m);
+      ov_bytes = m.agg.bytes_overlapped;
+      ex_bytes = m.agg.bytes_exposed;
+      waits_blocked = m.agg.waits_blocked;
     }
     const double speedup = t_off > 0.0 && t_on > 0.0 ? t_off / t_on : 0.0;
     t.add_row({std::to_string(c.D), std::to_string(c.nprocs),

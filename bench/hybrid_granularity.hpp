@@ -55,7 +55,7 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
       mpi.blocks_per_proc = bpp;
       mpi.iterations = ctx.iters;
       const double t_mpi =
-          predict_paper_seconds(machine, perf::measure_run(mpi).run, 4);
+          predict_paper_seconds(machine, perf::measure_run(mpi), 4);
       if (bpp == 1) t_ref = t_mpi;
 
       // Hybrid: 4 ranks (one per node) x 4 threads.
@@ -63,7 +63,7 @@ inline int run_hybrid_granularity_bench(int argc, char** argv, int D,
       hyb.mode = perf::MeasureSpec::Mode::kHybrid;
       hyb.nprocs = 4;
       hyb.nthreads = 4;
-      const auto hyb_run = perf::measure_run(hyb).run;
+      const auto hyb_run = perf::measure_run(hyb);
       const double t_hyb = predict_paper_seconds(machine, hyb_run, 1);
       const double locks =
           static_cast<double>(hyb_run.agg.atomic_updates) /

@@ -176,14 +176,11 @@ int main(int argc, char** argv) {
   }
   out << t.render() << "\n";
 
-  // Measured vector-kernel throughput at the active ISA; the generic-host
-  // spec records the gain so cost-model predictions track the vectorized
-  // kernel, and the machine report names the ISA the kernels dispatch to.
+  // Measured vector-kernel throughput at the active ISA, and the host it
+  // ran on.
   const auto kt = perf::measure_kernel_throughput();
   out << "Vector kernel throughput: " << perf::format(kt) << "\n";
-  perf::MachineSpec host = perf::generic_host();
-  perf::apply_kernel_throughput(host, kt);
-  out << perf::machine_report(host) << "\n\n";
+  out << perf::host_report() << "\n\n";
 
   // The paper's estimate, with the region and barrier counts of real 2 x 2
   // runs in place of an assumed count, priced at each measured T > 1 (the

@@ -55,7 +55,7 @@ inline int run_mpi_scaling_bench(int argc, char** argv, bool reorder,
       spec.mode = perf::MeasureSpec::Mode::kMp;
       spec.nprocs = p;
       spec.iterations = ctx.iters;
-      measured.emplace(key, perf::measure_run(spec).run);
+      measured.emplace(key, perf::measure_run(spec));
     }
   }
 

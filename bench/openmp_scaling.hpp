@@ -41,7 +41,7 @@ inline int run_openmp_scaling_bench(int argc, char** argv,
   ref.mode = perf::MeasureSpec::Mode::kSerial;
   ref.iterations = ctx.iters;
   const double t_serial =
-      predict_paper_seconds(machine, perf::measure_run(ref).run, 1);
+      predict_paper_seconds(machine, perf::measure_run(ref), 1);
 
   const std::vector<ReductionKind> strategies = {
       ReductionKind::kAtomicAll, ReductionKind::kSelectedAtomic,
@@ -59,7 +59,7 @@ inline int run_openmp_scaling_bench(int argc, char** argv,
       spec.nthreads = T;
       spec.reduction = kind;
       const auto m = perf::measure_run(spec);
-      const double tp = predict_paper_seconds(machine, m.run, 1);
+      const double tp = predict_paper_seconds(machine, m, 1);
       const double speedup = t_serial / tp;
       t.add_row({to_string(kind), std::to_string(T), Table::num(tp, 3),
                  Table::num(speedup, 2),

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
       s.iterations = ctx.iters;
       const auto m = perf::measure_run(s);
       const double model =
-          predict_paper_seconds(ctx.machine(platform), m.run, 1);
+          predict_paper_seconds(ctx.machine(platform), m, 1);
       const double paper =
           perf::paper_serial_seconds(platform, D, rcf, /*reordered=*/false);
       t.add_row({platform, std::to_string(D), Table::num(rcf, 1),

@@ -42,9 +42,9 @@ int main(int argc, char** argv) {
       const auto m_random = perf::measure_run(s_random);
 
       const auto& machine = ctx.machine(platform);
-      const double model = predict_paper_seconds(machine, m.run, 1);
+      const double model = predict_paper_seconds(machine, m, 1);
       const double model_random =
-          predict_paper_seconds(machine, m_random.run, 1);
+          predict_paper_seconds(machine, m_random, 1);
       const double paper = perf::paper_serial_seconds(platform, D, rcf, true);
       const double paper_random =
           perf::paper_serial_seconds(platform, D, rcf, false);

@@ -24,7 +24,6 @@
 #include "core/serial_sim.hpp"
 #include "driver/mp_sim.hpp"
 #include "driver/smp_sim.hpp"
-#include "perf/machine.hpp"
 #include "perf/report.hpp"
 #include "perf/tune.hpp"
 #include "util/cli.hpp"

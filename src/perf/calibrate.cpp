@@ -8,16 +8,6 @@
 
 namespace hdem::perf {
 
-double calibration_gap_scale(const RunMeasurement& run,
-                             double target_particles) {
-  const double ratio =
-      target_particles / static_cast<double>(run.n_global ? run.n_global : 1);
-  if (ratio <= 1.0) return 1.0;
-  if (!run.reordered) return ratio;
-  const double exponent = (run.D - 1.0) / run.D;
-  return std::pow(ratio, exponent);
-}
-
 CalibrationResult calibrate(const MachineSpec& base,
                             std::span<const CalibrationObservation> obs,
                             double target_particles) {
@@ -31,7 +21,8 @@ CalibrationResult calibrate(const MachineSpec& base,
   std::vector<double> y(rows);
   for (std::size_t r = 0; r < rows; ++r) {
     const RunMeasurement& run = obs[r].run;
-    if (run.nprocs != 1 || run.nthreads != 1 || run.iterations == 0) {
+    if (run.knobs.nprocs != 1 || run.knobs.nthreads != 1 ||
+        run.iterations == 0) {
       throw std::invalid_argument("calibrate: observations must be serial");
     }
     // A degenerate observation — an empty measurement window or a
@@ -52,21 +43,22 @@ CalibrationResult calibrate(const MachineSpec& base,
           "NaN/0");
     }
     const double count_scale =
-        target_particles / static_cast<double>(run.n_global);
+        target_particles / static_cast<double>(run.workload.n);
     const double links = static_cast<double>(run.agg.force_evals) /
                          static_cast<double>(run.iterations) * count_scale;
     const double contacts = static_cast<double>(run.agg.contacts) /
                             static_cast<double>(run.iterations) * count_scale;
     const double updates = static_cast<double>(run.agg.position_updates) /
                            static_cast<double>(run.iterations) * count_scale;
-    const double gap_scale = calibration_gap_scale(run, target_particles);
+    const double gap_scale =
+        paper_scale_layout(run, 1, target_particles).cache_gap_scale;
     const double miss_l2 =
         CostModel::miss_fraction(base.cache_bytes, run, gap_scale);
     const double l1_bytes =
         base.cache_l1_bytes > 0.0 ? base.cache_l1_bytes : base.cache_bytes;
     const double miss_l1 = CostModel::miss_fraction(l1_bytes, run, gap_scale);
     x[r * kCols + 0] = links;
-    x[r * kCols + 1] = run.D == 3 ? links : 0.0;
+    x[r * kCols + 1] = run.workload.D == 3 ? links : 0.0;
     x[r * kCols + 2] = updates;
     // Parametrised as t_mem = t_mem_l1 + extra (both non-negative) so a
     // beyond-L2 access can never be fitted cheaper than an L1 miss:

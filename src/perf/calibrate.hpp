@@ -18,7 +18,7 @@
 namespace hdem::perf {
 
 struct CalibrationObservation {
-  RunMeasurement run;          // serial measurement (nprocs = nthreads = 1)
+  RunMeasurement run;          // serial measurement (P = T = 1)
   double paper_seconds = 0.0;  // the Tables 1/2 target for this configuration
 };
 
@@ -30,14 +30,9 @@ struct CalibrationResult {
   double mean_rel_error = 0.0;
 };
 
-// Gap-scale when extrapolating a measured run of n particles to a target
-// size: random-order gaps grow linearly with the particle count; after
-// cell-order reordering the dominant gaps are cross-sections of the cell
-// grid, which grow as n^((D-1)/D).
-double calibration_gap_scale(const RunMeasurement& run, double target_particles);
-
 // Fit t_pair / t_update / t_mem of `base` to the observations, which must
-// all be serial runs of the benchmark system.
+// all be serial runs of the benchmark system.  Link-gap locality is
+// extrapolated to target_particles as paper_scale_layout does.
 CalibrationResult calibrate(const MachineSpec& base,
                             std::span<const CalibrationObservation> obs,
                             double target_particles);

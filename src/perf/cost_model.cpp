@@ -10,12 +10,12 @@ ModelLayout paper_scale_layout(const RunMeasurement& run, int ranks_per_node,
                                double target_particles) {
   ModelLayout l;
   l.ranks_per_node = ranks_per_node;
-  const double ratio =
-      target_particles / static_cast<double>(run.n_global ? run.n_global : 1);
+  const Workload& w = run.workload;
+  const double ratio = target_particles / static_cast<double>(w.n ? w.n : 1);
   if (ratio <= 1.0) return l;
-  const double surface = std::pow(ratio, (run.D - 1.0) / run.D);
+  const double surface = std::pow(ratio, (w.D - 1.0) / w.D);
   l.count_scale = ratio;
-  l.cache_gap_scale = run.reordered ? surface : ratio;
+  l.cache_gap_scale = run.knobs.reorder ? surface : ratio;
   l.comm_scale = surface;
   l.sync_scale = 1.0;
   return l;
@@ -37,7 +37,8 @@ double CostModel::miss_fraction(double capacity_bytes,
                                 const RunMeasurement& run, double gap_scale) {
   // A link access to particle j has reuse span ~ |i - j| particles.
   // Scaling every gap by gap_scale is equivalent to shrinking the capacity.
-  const double capacity = capacity_bytes / bytes_per_particle(run.D) /
+  const double capacity = capacity_bytes /
+                          bytes_per_particle(run.workload.D) /
                           std::max(gap_scale, 1e-12);
   return run.agg.gap_fraction_above(capacity);
 }
@@ -51,7 +52,7 @@ double CostModel::miss_probability(const MachineSpec& machine,
 CostModel::TrafficSplit CostModel::split_traffic(const RunMeasurement& run,
                                                  int ranks_per_node) {
   TrafficSplit s;
-  const int p = run.nprocs;
+  const int p = run.knobs.nprocs;
   if (run.bytes_matrix.size() != static_cast<std::size_t>(p) * p ||
       run.msgs_matrix.size() != static_cast<std::size_t>(p) * p) {
     return s;  // no traffic recorded (serial / threaded runs)
@@ -77,12 +78,13 @@ CostModel::TrafficSplit CostModel::split_traffic(const RunMeasurement& run,
 CostBreakdown CostModel::predict(const MachineSpec& machine,
                                  const RunMeasurement& run,
                                  const Layout& layout) {
-  if (run.iterations == 0 || run.nprocs < 1) {
+  const int nprocs = run.knobs.nprocs;
+  if (run.iterations == 0 || nprocs < 1) {
     throw std::invalid_argument("CostModel::predict: empty measurement");
   }
   const double per_rank_iter =
       layout.count_scale /
-      (static_cast<double>(run.nprocs) * static_cast<double>(run.iterations));
+      (static_cast<double>(nprocs) * static_cast<double>(run.iterations));
 
   const double links = static_cast<double>(run.agg.force_evals) * per_rank_iter;
   const double contacts =
@@ -96,7 +98,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
       per_rank_iter;
   const double per_rank_iter_sync =
       layout.sync_scale /
-      (static_cast<double>(run.nprocs) * static_cast<double>(run.iterations));
+      (static_cast<double>(nprocs) * static_cast<double>(run.iterations));
   const double regions =
       static_cast<double>(run.agg.parallel_regions) * per_rank_iter_sync;
   const double barriers =
@@ -106,7 +108,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
   const double red_bytes =
       static_cast<double>(run.agg.reduction_bytes) * per_rank_iter;
 
-  const int t_count = std::max(1, run.nthreads);
+  const int t_count = std::max(1, run.knobs.nthreads);
   const int busy_cpus = std::min(machine.cpus_per_node,
                                  std::max(1, layout.ranks_per_node) * t_count);
   const double saturation = 1.0 + machine.mem_saturation * (busy_cpus - 1);
@@ -127,16 +129,9 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
       machine.t_mem * miss_l2 * saturation;
 
   CostBreakdown out;
-  // Work terms execute concurrently on the rank's threads.  The pair
-  // arithmetic additionally rides the machine's vector units when the run
-  // dispatched to a SIMD width: the measured kernel throughput gain
-  // (microbench) divides the per-link arithmetic cost.  Memory-system
-  // terms are left alone — vectorizing does not widen the cache.
-  const double simd_gain = (run.simd_width > 1 && machine.simd_gain > 1.0)
-                               ? machine.simd_gain
-                               : 1.0;
+  // Work terms execute concurrently on the rank's threads.
   const double t_link =
-      (machine.t_pair + (run.D == 3 ? machine.t_pair3 : 0.0)) / simd_gain;
+      machine.t_pair + (run.workload.D == 3 ? machine.t_pair3 : 0.0);
   out.compute = (links * t_link + updates * machine.t_update) / t_count;
   out.memory =
       (links * mem_per_link + contacts * machine.t_contact * miss_l1) /
@@ -168,7 +163,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
   // system.  Message latencies are CPU overhead, paid per rank.
   const double rpn = std::max(1, layout.ranks_per_node);
   const double p2p_scale =
-      layout.comm_scale / (static_cast<double>(run.nprocs) *
+      layout.comm_scale / (static_cast<double>(nprocs) *
                            static_cast<double>(run.iterations));
   const double p2p_latency =
       (ts.msgs_intra * machine.lat_intra + ts.msgs_inter * machine.lat_inter) *
@@ -182,10 +177,13 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
   // what fraction of halo transfer time the schedule hid behind core-link
   // compute.  Hide that share of the byte cost (transfer time overlaps;
   // per-message latency is CPU overhead and never does), capped by the
-  // compute term — there is nothing to hide behind past that.
+  // compute term — there is nothing to hide behind past that.  Only the
+  // overlapped schedule earns the credit: the synchronous one also records
+  // overlapped bytes (buffered sends may land before the immediately
+  // following wait), but nothing hides behind compute there.
   const double ov_bytes = static_cast<double>(run.agg.bytes_overlapped);
   const double ex_bytes = static_cast<double>(run.agg.bytes_exposed);
-  if (run.overlap && ov_bytes + ex_bytes > 0.0) {
+  if (run.knobs.overlap && ov_bytes + ex_bytes > 0.0) {
     const double overlap_fraction = ov_bytes / (ov_bytes + ex_bytes);
     out.comm_hidden = std::min(p2p_bytes * overlap_fraction, out.compute);
     out.comm -= out.comm_hidden;
@@ -198,7 +196,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
       static_cast<double>(run.agg.msgs_local) * per_rank_iter_sync;
   const double lbytes = static_cast<double>(run.agg.bytes_local) *
                         layout.comm_scale /
-                        (static_cast<double>(run.nprocs) *
+                        (static_cast<double>(nprocs) *
                          static_cast<double>(run.iterations));
   out.comm += lmsgs * machine.lat_local +
               lbytes * saturation / std::max(machine.reduction_bw, 1.0);
@@ -209,7 +207,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
       static_cast<double>(run.agg.msgs_shared) * per_rank_iter_sync;
   const double sbytes = static_cast<double>(run.agg.bytes_shared) *
                         layout.comm_scale /
-                        (static_cast<double>(run.nprocs) *
+                        (static_cast<double>(nprocs) *
                          static_cast<double>(run.iterations));
   out.comm += smsgs * machine.lat_local +
               sbytes * saturation / std::max(machine.reduction_bw, 1.0);
@@ -224,7 +222,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
   const double cmp_bytes = 2.0 *
                            static_cast<double>(run.agg.halo_bytes_eager) *
                            layout.comm_scale /
-                           (static_cast<double>(run.nprocs) *
+                           (static_cast<double>(nprocs) *
                             static_cast<double>(run.iterations));
   out.comm += cmp_bytes * saturation / std::max(machine.reduction_bw, 1.0);
   // Amortised list-rebuild cost.  agg.rebuilds is a per-rank count (it
@@ -242,12 +240,12 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
   if (rebuilds_per_iter > 0.0) {
     const double n_rank = static_cast<double>(run.agg.particles) *
                           layout.count_scale /
-                          static_cast<double>(run.nprocs);
+                          static_cast<double>(nprocs);
     const double links_rank =
         static_cast<double>(run.agg.links_core + run.agg.links_halo) *
-        layout.count_scale / static_cast<double>(run.nprocs);
+        layout.count_scale / static_cast<double>(nprocs);
     const double per_particle =
-        machine.t_bin + (run.reordered ? machine.t_reorder : 0.0);
+        machine.t_bin + (run.knobs.reorder ? machine.t_reorder : 0.0);
     out.rebuild = rebuilds_per_iter *
                   ((n_rank * per_particle + links_rank * machine.t_linkgen) /
                        t_count +
@@ -261,7 +259,7 @@ CostBreakdown CostModel::predict(const MachineSpec& machine,
     // the undecomposed drivers (no halo copies measured).
     const double halo_rank = static_cast<double>(run.agg.halo_particles) *
                              layout.count_scale /
-                             static_cast<double>(run.nprocs);
+                             static_cast<double>(nprocs);
     out.rebuild += rebuilds_per_iter *
                    (halo_rank * machine.t_reorder + n_rank * machine.t_bin) /
                    t_count;

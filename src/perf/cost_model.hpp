@@ -19,25 +19,13 @@
 
 namespace hdem::perf {
 
-// Aggregated observation of one steady-state run (counters are summed over
-// ranks; cumulative fields cover `iterations` iterations).
+// The record of one measured run: the workload it simulated, the knobs
+// that ran, what the model prices and the host's wall clock.  Counters are
+// summed over ranks; cumulative fields cover `iterations` iterations.  The
+// run had knobs.nprocs * knobs.blocks_per_proc blocks.
 struct RunMeasurement {
-  int D = 3;
-  std::uint64_t n_global = 0;   // total particles
-  double rc_factor = 1.5;
-  bool reordered = true;
-  int nprocs = 1;
-  int nthreads = 1;
-  int nblocks = 1;
-  // True when the run used the overlapped halo schedule.  The synchronous
-  // schedule also records overlapped bytes (buffered sends may land before
-  // the immediately-following wait), but nothing hides behind compute
-  // there, so the model only credits the split when this is set.
-  bool overlap = false;
-  // SIMD pack width the run's kernels dispatched to (1 = scalar loop).
-  // The model credits machine.simd_gain to the pair-arithmetic term only
-  // when the measured run actually exercised the vector path.
-  int simd_width = 1;
+  Workload workload;
+  RunKnobs knobs;
   std::uint64_t iterations = 0;
   Counters agg;
   // Per-rank counters (message-passing runs only) — the raw material for
@@ -46,8 +34,11 @@ struct RunMeasurement {
   // Point-to-point traffic matrices, src-major: entry [src * P + dst].
   std::vector<std::uint64_t> bytes_matrix;
   std::vector<std::uint64_t> msgs_matrix;
+  double host_seconds = 0.0;  // whole window, slowest rank
 
-  int blocks_per_proc() const { return nblocks / (nprocs > 0 ? nprocs : 1); }
+  double host_seconds_per_iter() const {
+    return iterations ? host_seconds / static_cast<double>(iterations) : 0.0;
+  }
 };
 
 struct CostBreakdown {
@@ -86,8 +77,10 @@ struct ModelLayout {
 
 // Extrapolation of a reduced-size measurement to `target_particles` (the
 // paper's one-million-particle system): operation counts scale linearly,
-// link-gap locality scales with the system (sub-linearly once reordered),
-// halo traffic scales with block surface area.
+// halo traffic scales with block surface area.  Link gaps grow with the
+// particle count in random order; after cell-order reordering the dominant
+// gaps are cross-sections of the cell grid, which grow as n^((D-1)/D).
+// Nothing scales down: a run at or above the target keeps every scale 1.
 ModelLayout paper_scale_layout(const RunMeasurement& run, int ranks_per_node,
                                double target_particles);
 

@@ -1,9 +1,5 @@
 #include "perf/machine.hpp"
 
-#include <sstream>
-
-#include "util/simd.hpp"
-
 namespace hdem::perf {
 
 // The serial kernel costs below are starting points; benches overwrite
@@ -97,47 +93,6 @@ MachineSpec compaq_es40_cluster() {
   m.bw_inter = 80.0e6;
   m.lat_local = 1.5e-6;
   return m;
-}
-
-MachineSpec generic_host() {
-  MachineSpec m;
-  m.name = "host";
-  m.cpus_per_node = 1;
-  m.nodes = 1;
-  m.t_pair = 2.0e-8;
-  m.t_update = 2.0e-8;
-  m.t_mem = 3.0e-8;
-  m.t_bin = 1.0e-8;
-  m.t_reorder = 6.0e-9;
-  m.t_linkgen = 1.5e-8;
-  m.t_scan = 1.5e-9;
-  m.cache_bytes = 8.0e6;
-  m.cache_l1_bytes = 32.0e3;
-  m.mem_saturation = 0.2;
-  m.t_atomic = 2.0e-8;
-  m.t_contend = 5.0e-9;
-  m.t_fork = 5.0e-6;
-  m.t_barrier = 2.0e-6;
-  m.t_critical = 1.0e-6;
-  m.reduction_bw = 5.0e9;
-  m.lat_intra = 1.0e-6;
-  m.bw_intra = 2.0e9;
-  m.lat_inter = 10.0e-6;
-  m.bw_inter = 1.0e9;
-  m.lat_local = 0.5e-6;
-  m.simd_isa = simd::isa_name(simd::active_isa());
-  return m;
-}
-
-std::string machine_report(const MachineSpec& m) {
-  std::ostringstream os;
-  os << m.name << ": " << m.nodes << " node(s) x " << m.cpus_per_node
-     << " cpu(s), t_pair=" << m.t_pair * 1e9 << "ns"
-     << ", simd_isa=" << m.simd_isa << ", simd_gain=" << m.simd_gain
-     << " | host kernels: compiled=" << simd::isa_name(simd::kCompiledIsa)
-     << ", active=" << simd::isa_name(simd::active_isa())
-     << ", width=" << simd::dispatch_width();
-  return os.str();
 }
 
 }  // namespace hdem::perf

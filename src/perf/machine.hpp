@@ -68,15 +68,6 @@ struct MachineSpec {
   // node-memory speed (reduction_bw).
   double lat_local = 0.0;
 
-  // Vector-kernel throughput term: measured speedup of the batched pair
-  // kernel's gather+compute phases at this machine's active SIMD ISA over
-  // the scalar loop (perf/microbench::measure_kernel_throughput).  The
-  // paper's platforms model the original scalar code and stay at 1.0; the
-  // generic host refreshes these from measurement so serial-fraction
-  // predictions track the vectorized kernel.
-  double simd_gain = 1.0;
-  std::string simd_isa = "scalar";
-
   int total_cpus() const { return cpus_per_node * nodes; }
 };
 
@@ -97,13 +88,5 @@ MachineSpec sun_hpc3500();
 // in hardware and are much more efficient"; the node memory system
 // saturates with four active CPUs (Figure 1's bandwidth discussion).
 MachineSpec compaq_es40_cluster();
-
-// The machine this library actually runs on; synchronisation costs can be
-// refreshed from the microbenchmark suite (perf/microbench).
-MachineSpec generic_host();
-
-// One-line description of a machine spec including the SIMD ISA the
-// kernels actually dispatch to on this host (compiled ISA, runtime width).
-std::string machine_report(const MachineSpec& m);
 
 }  // namespace hdem::perf

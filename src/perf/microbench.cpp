@@ -184,11 +184,6 @@ KernelThroughput measure_kernel_throughput(std::size_t nparticles,
   return k;
 }
 
-void apply_kernel_throughput(MachineSpec& m, const KernelThroughput& k) {
-  m.simd_gain = k.gain();
-  m.simd_isa = k.isa;
-}
-
 std::string format(const SyncOverheads& o) {
   std::ostringstream os;
   os << "threads=" << o.threads

@@ -4,14 +4,11 @@
 //
 // The paper uses exactly this technique to estimate the hybrid code's
 // thread overheads ("around 50 microseconds per block per processor").
-// measure_sync_overheads() reports the host's real costs; the same numbers
-// parameterise the generic_host machine spec.
+// measure_sync_overheads() reports the host's real costs.
 #pragma once
 
 #include <cstddef>
 #include <string>
-
-#include "perf/machine.hpp"
 
 namespace hdem::perf {
 
@@ -40,9 +37,7 @@ std::string format(const SyncOverheads& o);
 
 // Measured per-link throughput of the batched pair kernel (3D elastic
 // spheres on the paper's benchmark density) at the host's native SIMD
-// dispatch width versus the width-1 scalar loop.  gain() is the
-// vector-width/throughput term the cost model divides the pair-arithmetic
-// cost by (perf/cost_model); apply_kernel_throughput records it on a spec.
+// dispatch width versus the width-1 scalar loop; gain() is their ratio.
 struct KernelThroughput {
   std::string isa = "scalar";      // ISA the vector measurement ran on
   int width = 1;                   // its dispatch width
@@ -57,8 +52,6 @@ struct KernelThroughput {
 
 KernelThroughput measure_kernel_throughput(std::size_t nparticles = 20'000,
                                            int repetitions = 20);
-
-void apply_kernel_throughput(MachineSpec& m, const KernelThroughput& k);
 
 std::string format(const KernelThroughput& k);
 

@@ -5,6 +5,9 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
+
+#include "util/simd.hpp"
 
 namespace hdem::perf {
 
@@ -21,6 +24,34 @@ void save_artifact(const std::string& name, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("save_artifact: cannot open " + path.string());
   out << content;
+}
+
+namespace {
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    const auto start = line.find_first_not_of(" \t", colon + 1);
+    if (colon != std::string::npos && start != std::string::npos) {
+      return line.substr(start);
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
+
+std::string host_report() {
+  std::ostringstream os;
+  os << "host: " << std::thread::hardware_concurrency() << " cpu(s), "
+     << cpu_model()
+     << " | kernels: compiled=" << simd::isa_name(simd::kCompiledIsa)
+     << ", active=" << simd::isa_name(simd::active_isa())
+     << ", width=" << simd::dispatch_width();
+  return os.str();
 }
 
 ReuseSummary reuse_summary(const Counters& c) {

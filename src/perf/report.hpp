@@ -18,6 +18,12 @@ std::string results_dir();
 // Write `content` to results_dir()/name (overwriting).
 void save_artifact(const std::string& name, const std::string& content);
 
+// One line of facts about the host, read at run time, that heads tune
+// files and host-timed bench output: the hardware thread count, the CPU
+// model (from /proc/cpuinfo, or "unknown"), the SIMD ISA compiled in, the
+// one active on this CPU and the kernels' dispatch width.
+std::string host_report();
+
 // Verlet-skin amortization at a glance for bench tables: how many steps a
 // window ran, how many rebuilt vs reused the candidate list, and the mean
 // number of steps each built list served (iterations / rebuilds; equals 1

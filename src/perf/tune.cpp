@@ -5,13 +5,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <type_traits>
 
 #include "perf/fit.hpp"
-#include "perf/machine.hpp"
 #include "perf/measure.hpp"
 #include "perf/report.hpp"
 #include "trace/tracer.hpp"
@@ -71,19 +72,18 @@ TuneRow measure_tune_point(const Workload& w, const RunKnobs& c,
   bool have = false;
   for (int rep = 0; rep < std::max(reps, 1); ++rep) {
     tracer.enable(true);  // resets epoch and wipes prior events
-    const MeasuredRun out = measure_run(
+    const RunMeasurement out = measure_run(
         to_measure_spec(w, c, iterations, warmup, min_seconds));
     const PhaseTotals totals = aggregate(tracer.events());
     tracer.enable(false);
 
     TuneRow row;
-    row.workload = w;
-    row.config = c;
-    row.simd_width = out.run.simd_width;
-    row.iterations = out.run.iterations;
-    const double iters = static_cast<double>(
-        out.run.iterations ? out.run.iterations : 1);
-    const double ranks = static_cast<double>(std::max(out.run.nprocs, 1));
+    row.workload = out.workload;
+    row.config = out.knobs;
+    row.iterations = out.iterations;
+    const double iters =
+        static_cast<double>(out.iterations ? out.iterations : 1);
+    const double ranks = static_cast<double>(std::max(out.knobs.nprocs, 1));
     const double per_step = 1.0 / (ranks * iters);  // mean over ranks
     row.step_seconds = out.host_seconds / iters;
     row.force_s = (phase_total(totals, trace::Phase::kForce) +
@@ -105,7 +105,7 @@ TuneRow measure_tune_point(const Workload& w, const RunKnobs& c,
                          row.halo_shared_s + row.migrate_s + row.rebalance_s;
     row.other_s = std::max(0.0, row.step_seconds - named);
     row.rebuilds_per_step =
-        static_cast<double>(out.run.agg.rebuilds) / (ranks * iters);
+        static_cast<double>(out.agg.rebuilds) / (ranks * iters);
     if (totals.compute_by_rank.size() > 1) {
       double sum = 0.0, peak = 0.0;
       for (const auto& [rank, secs] : totals.compute_by_rank) {
@@ -190,15 +190,15 @@ constexpr MeasuredColumn kMeasuredColumns[] = {
 std::string format_tune_rows(std::span<const TuneRow> rows) {
   std::ostringstream os;
   os.precision(9);
-  os << "# hdem-tune v2\n";
-  os << "# " << machine_report(generic_host()) << "\n";
+  os << "# hdem-tune v3\n";
+  os << "# " << host_report() << "\n";
   os << "# per-phase *_s columns: seconds per step, mean over ranks; step_s:"
         " slowest rank's wall per step\n";
   os << "# columns: scenario D n rc velocity stride cluster";
   for_each_knob(RunKnobs{}, [&](const char* name, const auto&) {
     os << ' ' << name;
   });
-  os << " simd iters";
+  os << " iters";
   for (const MeasuredColumn& c : kMeasuredColumns) os << ' ' << c.name;
   os << '\n';
   for (const TuneRow& r : rows) {
@@ -217,7 +217,7 @@ std::string format_tune_rows(std::span<const TuneRow> rows) {
         os << v;
       }
     });
-    os << ' ' << r.simd_width << ' ' << r.iterations;
+    os << ' ' << r.iterations;
     for (const MeasuredColumn& c : kMeasuredColumns) os << ' ' << r.*c.field;
     os << '\n';
   }
@@ -262,17 +262,43 @@ std::vector<TuneRow> parse_tune_rows(const std::string& text) {
           "parse_tune_rows: file header is missing required column '" + name +
           "'");
     };
+    const auto reject = [&](const std::string& name, const char* why) {
+      throw std::invalid_argument("parse_tune_rows: column '" + name +
+                                  "' holds '" + field(name) + "', " + why);
+    };
     const auto num = [&](const std::string& name) {
-      return std::stod(field(name));
+      const std::string& token = field(name);
+      double v = 0.0;
+      std::size_t used = 0;
+      try {
+        v = std::stod(token, &used);
+      } catch (const std::logic_error&) {  // no number, or past double's range
+        reject(name, "not a number");
+      }
+      if (used != token.size()) reject(name, "not a number");
+      if (!std::isfinite(v)) reject(name, "not a finite number");
+      return v;
+    };
+    // An integer column, range-checked before the cast.
+    const auto integer = [&]<class T>(const std::string& name, T lo) {
+      const double v = num(name);
+      if (v != std::floor(v)) reject(name, "not an integer");
+      if (v < static_cast<double>(lo)) reject(name, "below its minimum");
+      if (v >= std::ldexp(1.0, std::numeric_limits<T>::digits)) {
+        reject(name, "out of range");
+      }
+      return static_cast<T>(v);
     };
     TuneRow r;
-    r.workload.scenario = scenario_from_string(field("scenario"));
-    r.workload.D = static_cast<int>(num("D"));
-    r.workload.n = static_cast<std::uint64_t>(num("n"));
-    r.workload.rc_factor = num("rc");
-    r.workload.velocity_scale = num("velocity");
-    r.workload.settled_stride = static_cast<std::uint64_t>(num("stride"));
-    r.workload.cluster_fraction = num("cluster");
+    Workload& w = r.workload;
+    w.scenario = scenario_from_string(field("scenario"));
+    w.D = integer("D", 2);
+    if (w.D > 3) reject("D", "not 2 or 3");
+    w.n = integer("n", std::uint64_t{1});
+    w.rc_factor = num("rc");
+    w.velocity_scale = num("velocity");
+    w.settled_stride = integer("stride", std::uint64_t{0});
+    w.cluster_fraction = num("cluster");
     for_each_knob(r.config, [&](const char* name, auto& v) {
       using T = std::decay_t<decltype(v)>;
       if constexpr (std::is_same_v<T, ReductionKind>) {
@@ -282,13 +308,20 @@ std::vector<TuneRow> parse_tune_rows(const std::string& text) {
         }
       } else if constexpr (std::is_same_v<T, bool>) {
         v = num(name) != 0.0;
+      } else if constexpr (std::is_integral_v<T>) {
+        // P, T and B count from 1; ranks_per_node 0 means one node.
+        const bool count = std::string_view(name) != "ranks_per_node";
+        v = integer(name, T{count ? 1 : 0});
       } else {
-        v = static_cast<T>(num(name));
+        v = num(name);
       }
     });
-    r.simd_width = static_cast<int>(num("simd"));
-    r.iterations = static_cast<std::uint64_t>(num("iters"));
-    for (const MeasuredColumn& c : kMeasuredColumns) r.*c.field = num(c.name);
+    r.config.validate();
+    r.iterations = integer("iters", std::uint64_t{1});
+    for (const MeasuredColumn& c : kMeasuredColumns) {
+      r.*c.field = num(c.name);
+      if (r.*c.field < 0.0) reject(c.name, "negative");
+    }
     rows.push_back(std::move(r));
   }
   return rows;

@@ -20,14 +20,17 @@
 //
 // Tune file format (plain text, '#' comments):
 //
-//     # hdem-tune v2
-//     # <machine_report of the measuring host>
+//     # hdem-tune v3
+//     # host: <host_report() of the measuring process>
 //     # columns: <space-separated column names>
 //     <one row per line, tokens in column order>
 //
 // Every row carries every run knob (one column per RunKnobs field,
 // named by for_each_knob in driver/knobs.hpp), so the header records only
-// the host.
+// the host: its CPU count and model, the compiled and active SIMD ISA and
+// the dispatch width every row ran at.  History: v2 put every knob in a
+// column; v3 drops v2's per-row `simd` column for the host line, and v2
+// files still parse (an extra column is ignored).
 //
 // The "# columns:" header is authoritative: rows are parsed by column
 // name, so readers tolerate reordered or additional columns, and a file
@@ -36,7 +39,11 @@
 // per step (their difference, with the named phases, is scheduling slack
 // recorded in other_s).  scenario is a scenario name (core/init.hpp; an
 // unknown one fails the parse), reduction a strategy name
-// (reduction/kind.hpp); booleans are 0/1.
+// (reduction/kind.hpp); booleans are 0/1.  A value that is not a finite
+// number, an integer column outside its range (D not 2 or 3; n, iters,
+// P, T or B below 1; ranks_per_node or stride below 0), a negative
+// measured column or a knob set MpOptions::validate() rejects fails the
+// parse with std::invalid_argument, naming the column.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +60,6 @@ namespace hdem::perf {
 struct TuneRow {
   Workload workload;
   RunKnobs config;  // the full effective knob set of the run
-  int simd_width = 1;
   std::uint64_t iterations = 0;
   double step_seconds = 0.0;  // wall per step, slowest rank
   // Per-phase seconds per step (mean over ranks).

@@ -11,9 +11,19 @@
 namespace hdem::perf {
 namespace {
 
+// A synthetic base spec: calibrate fits the serial kernel costs and keeps
+// the cache sizes it is given.
+MachineSpec base_spec() {
+  MachineSpec m;
+  m.name = "base";
+  m.cache_bytes = 8.0e6;
+  m.cache_l1_bytes = 32.0e3;
+  return m;
+}
+
 // Synthetic observations generated from known constants must be recovered.
 TEST(Calibrate, RecoversKnownConstants) {
-  MachineSpec base = generic_host();
+  MachineSpec base = base_spec();
   base.cache_bytes = 1e6;
   const double t_pair = 2e-7, t_pair3 = 1e-7, t_update = 5e-7, t_mem = 3e-7;
 
@@ -23,9 +33,9 @@ TEST(Calibrate, RecoversKnownConstants) {
     for (double links_per_particle : {3.0, 6.0}) {
       for (bool reordered : {false, true}) {
         CalibrationObservation o;
-        o.run.D = D;
-        o.run.n_global = 10000;
-        o.run.reordered = reordered;
+        o.run.workload.D = D;
+        o.run.workload.n = 10000;
+        o.run.knobs.reorder = reordered;
         o.run.iterations = 1;
         o.run.agg.position_updates = 10000;
         const auto links =
@@ -36,7 +46,7 @@ TEST(Calibrate, RecoversKnownConstants) {
           o.run.agg.record_link_gap(reordered ? 4 : 5000 + idx);
         }
         const double miss = CostModel::miss_probability(
-            base, o.run, calibration_gap_scale(o.run, 1e6));
+            base, o.run, paper_scale_layout(o.run, 1, 1e6).cache_gap_scale);
         const double scale = 1e6 / 10000.0;
         o.paper_seconds =
             scale * (links * (t_pair + (D == 3 ? t_pair3 : 0.0)) +
@@ -54,29 +64,13 @@ TEST(Calibrate, RecoversKnownConstants) {
   EXPECT_NEAR(res.spec.t_mem, t_mem, 1e-10);
 }
 
-TEST(Calibrate, GapScaleExponents) {
-  RunMeasurement random_run;
-  random_run.D = 3;
-  random_run.n_global = 1000;
-  random_run.reordered = false;
-  EXPECT_DOUBLE_EQ(calibration_gap_scale(random_run, 8000.0), 8.0);
-  RunMeasurement ordered_run = random_run;
-  ordered_run.reordered = true;
-  EXPECT_DOUBLE_EQ(calibration_gap_scale(ordered_run, 8000.0), 4.0);
-  ordered_run.D = 2;
-  EXPECT_NEAR(calibration_gap_scale(ordered_run, 8000.0), std::sqrt(8.0),
-              1e-12);
-  // Never scales down.
-  EXPECT_DOUBLE_EQ(calibration_gap_scale(random_run, 10.0), 1.0);
-}
-
 // A degenerate observation — an empty measurement window (zero counts) or
 // a non-positive/non-finite target — must be rejected instead of silently
 // fitting NaN/zero constants.
 TEST(Calibrate, RejectsDegenerateObservations) {
-  const MachineSpec base = generic_host();
+  const MachineSpec base = base_spec();
   CalibrationObservation good;
-  good.run.n_global = 1000;
+  good.run.workload.n = 1000;
   good.run.iterations = 1;
   good.run.agg.force_evals = 3000;
   good.run.agg.position_updates = 1000;
@@ -95,12 +89,12 @@ TEST(Calibrate, RejectsDegenerateObservations) {
 }
 
 TEST(Calibrate, RejectsBadInputs) {
-  const MachineSpec base = generic_host();
+  const MachineSpec base = base_spec();
   std::vector<CalibrationObservation> few(2);
   EXPECT_THROW(calibrate(base, few, 1e6), std::invalid_argument);
 
   CalibrationObservation parallel_obs;
-  parallel_obs.run.nprocs = 2;
+  parallel_obs.run.knobs.nprocs = 2;
   parallel_obs.run.iterations = 1;
   std::vector<CalibrationObservation> bad(3, parallel_obs);
   EXPECT_THROW(calibrate(base, bad, 1e6), std::invalid_argument);
@@ -119,14 +113,15 @@ TEST(Calibrate, PaperTablesWithinTolerance) {
       s.reorder = reorder;
       s.mode = MeasureSpec::Mode::kSerial;
       s.iterations = 2;
-      runs.push_back(measure_run(s).run);
+      runs.push_back(measure_run(s));
     }
   }
   for (const auto& base : {t3e900(), sun_hpc3500(), compaq_es40_cluster()}) {
     std::vector<CalibrationObservation> obs;
     for (const auto& r : runs) {
-      obs.push_back(
-          {r, paper_serial_seconds(base.name, r.D, r.rc_factor, r.reordered)});
+      obs.push_back({r, paper_serial_seconds(base.name, r.workload.D,
+                                             r.workload.rc_factor,
+                                             r.knobs.reorder)});
     }
     const auto res = calibrate(base, obs, kPaperParticles);
     EXPECT_LT(res.mean_rel_error, 0.12) << base.name;

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ci_knobs.hpp"
@@ -272,7 +274,6 @@ TEST(TuneFile, RoundTrip) {
   k.halo_coalesce = true;
   k.reorder = false;
   k.drift_measured = false;
-  r.simd_width = 4;
   r.iterations = 16;
   r.step_seconds = 1.25e-3;
   r.force_s = 9.0e-4;
@@ -288,7 +289,7 @@ TEST(TuneFile, RoundTrip) {
   rows.push_back(r);
 
   const std::string text = format_tune_rows(rows);
-  EXPECT_NE(text.find("# hdem-tune v2"), std::string::npos);
+  EXPECT_NE(text.find("# hdem-tune v3\n# host: "), std::string::npos);
   EXPECT_NE(text.find("# columns:"), std::string::npos);
 
   const auto back = parse_tune_rows(text);
@@ -298,7 +299,6 @@ TEST(TuneFile, RoundTrip) {
   EXPECT_EQ(b.workload.n, 1234u);
   EXPECT_EQ(b.workload.settled_stride, 8u);
   EXPECT_TRUE(b.config == r.config);
-  EXPECT_EQ(b.simd_width, 4);
   EXPECT_EQ(b.iterations, 16u);
   EXPECT_NEAR(b.step_seconds, r.step_seconds, 1e-12);
   EXPECT_NEAR(b.force_s, r.force_s, 1e-12);
@@ -308,10 +308,11 @@ TEST(TuneFile, RoundTrip) {
   EXPECT_NEAR(b.rebuilds_per_step, r.rebuilds_per_step, 1e-12);
 }
 
-// Rows of the v2 files committed under results/tune/ (fig15_hot.tune,
-// fig15_settled.tune): uniform rows carry stride 0 and cluster 1, the
-// settled row stride 8.  Such a file loads and fits without re-measuring,
-// and formats back with the same columns and rows.
+// Rows of the v2 files the parent wrote under results/tune/
+// (fig15_hot.tune, fig15_settled.tune): uniform rows carry stride 0 and
+// cluster 1, the settled row stride 8, and each row a `simd` column.  Such
+// a file loads and fits without re-measuring, and formats back as v3: the
+// same rows without the `simd` column.
 TEST(TuneFile, ParsesParentRows) {
   const std::string columns =
       "# columns: scenario D n rc velocity stride cluster P T B reduction"
@@ -355,9 +356,27 @@ TEST(TuneFile, ParsesParentRows) {
   EXPECT_EQ(model.rebuilds_per_step(rows[2].workload, 0.0), 0.0078125);
   EXPECT_GT(model.predict(rows[0].workload, rows[0].config).total(), 0.0);
 
+  const std::string columns_v3 =
+      "# columns: scenario D n rc velocity stride cluster P T B reduction"
+      " fused overlap steal rebalance rebalance_threshold shared_halo"
+      " ranks_per_node skin skin_cap halo_delta halo_coalesce reorder"
+      " drift_measured iters rebuild_rate imbalance force_s rebuild_s"
+      " halo_wire_s halo_shared_s halo_wait_s migrate_s rebalance_s other_s"
+      " step_s\n";
+  const std::string data_v3 =
+      "uniform 2 800 1.5 0.25 0 1 1 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 128 0.015625 1 7.27352188e-05 3.80016407e-06 0 0 0 0 0"
+      " 3.94789058e-07 7.69301719e-05\n"
+      "uniform 2 800 1.5 0.25 0 1 2 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 64 0.0078125 1.01280098 9.77598752e-05 5.01882032e-06"
+      " 2.74313282e-06 0 5.40330468e-06 2.22226546e-07 0 1.73751795e-05"
+      " 0.000123119234\n"
+      "settled 2 800 1.5 0.25 8 1 1 2 1 colored 0 0 0 0 1.15 0 0 0 -1 0 0 1"
+      " 1 128 0.0078125 1 6.97873437e-05 1.42677344e-06 0 0 0 0 0"
+      " 4.59312531e-07 7.16734297e-05\n";
   const std::string back = format_tune_rows(rows);
-  EXPECT_NE(back.find(columns), std::string::npos) << back;
-  EXPECT_NE(back.find(columns + data), std::string::npos) << back;
+  EXPECT_EQ(back.rfind("# hdem-tune v3\n", 0), 0u) << back;
+  EXPECT_NE(back.find(columns_v3 + data_v3), std::string::npos) << back;
 }
 
 TEST(TuneFile, RejectsUnknownScenario) {
@@ -395,6 +414,32 @@ TEST(TuneFile, ParsesByColumnNameNotPosition) {
   EXPECT_EQ(rows[0].config.reduction, ReductionKind::kColored);
 }
 
+// `text` (one header, one row) with `column`'s value in the row replaced.
+std::string with_value(const std::string& text, const std::string& column,
+                       const std::string& token) {
+  std::istringstream in(text);
+  std::string out, line;
+  std::vector<std::string> names;
+  while (std::getline(in, line)) {
+    if (line.rfind("# columns:", 0) == 0) {
+      std::istringstream hs(line.substr(10));
+      for (std::string name; hs >> name;) names.push_back(name);
+    } else if (!line.empty() && line[0] != '#') {
+      std::istringstream ls(line);
+      std::string row;
+      std::size_t i = 0;
+      for (std::string tok; ls >> tok; ++i) {
+        row += (i ? " " : "") + (i < names.size() && names[i] == column
+                                     ? token
+                                     : tok);
+      }
+      line = row;
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
 TEST(TuneFile, RejectsMalformedInput) {
   // Data before the columns header.
   EXPECT_THROW(parse_tune_rows("1 2 3\n"), std::invalid_argument);
@@ -404,7 +449,39 @@ TEST(TuneFile, RejectsMalformedInput) {
   // Header missing a required column: the error names it.
   EXPECT_THROW(parse_tune_rows("# columns: scenario D\nuniform 2\n"),
                std::invalid_argument);
-  const std::string full = format_tune_rows(std::vector<TuneRow>(1));
+  TuneRow valid;
+  valid.iterations = 8;
+  const std::string full = format_tune_rows(std::vector<TuneRow>{valid});
+  ASSERT_EQ(parse_tune_rows(full).size(), 1u);
+  // A value the casts cannot take, or a knob set the drivers reject: the
+  // error names the column (MpOptions::validate names the knob).
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"D", "nan"},       {"D", "5"},         {"D", "inf"},
+      {"n", "-1"},        {"n", "0"},         {"n", "1e30"},
+      {"iters", "0"},     {"iters", "-inf"},  {"stride", "-1"},
+      {"P", "0"},         {"T", "0"},         {"T", "1e30"},
+      {"T", "2.5"},       {"B", "0"},         {"ranks_per_node", "-1"},
+      {"rc", "nan"},      {"skin", "inf"},    {"force_s", "-1"},
+      {"step_s", "nan"},  {"rc", "abc"},      {"velocity", "1e400"},
+      {"n", "5abc"},      {"T", "2x"},
+      {"rebalance_threshold", "0.5"},
+  };
+  for (const auto& [column, token] : bad_values) {
+    try {
+      parse_tune_rows(with_value(full, column, token));
+      ADD_FAILURE() << "no error for " << column << " = " << token;
+    } catch (const std::invalid_argument& e) {
+      const std::string knob =
+          std::string(column) == "rebalance_threshold" ? "threshold" : column;
+      EXPECT_NE(std::string(e.what()).find(knob), std::string::npos)
+          << column << " = " << token << ": " << e.what();
+    }
+  }
+  // Knobs that parse one by one but not together.
+  EXPECT_THROW(parse_tune_rows(with_value(full, "fused", "1")),
+               std::invalid_argument);  // fused at T = 1
+  EXPECT_THROW(parse_tune_rows(with_value(full, "steal", "1")),
+               std::invalid_argument);  // stealing needs colored
   for (const char* column : {"reduction", "drift_measured"}) {
     std::string text = full;
     text.replace(text.find(std::string(" ") + column + " "),
@@ -426,6 +503,7 @@ TEST(TuneFile, LoadOrMeasureReplacesAFileThatDoesNotParse) {
   const std::string path = "fit_load_or_measure.tune";
   std::filesystem::remove(path);
   std::vector<TuneRow> measured(2);
+  for (TuneRow& r : measured) r.iterations = 8;
   measured[1].config.nthreads = 2;
   int calls = 0;
   const auto measure = [&] {
@@ -507,7 +585,7 @@ TEST(TuneFile, MeasuredRowIgnoresKnobEnvironment) {
                          {"HDEM_HALO_COALESCE", nullptr},
                          {"HDEM_SHARED_HALO", nullptr},
                          {"HDEM_RANKS_PER_NODE", nullptr}});
-    unset = measure_run(s).run.agg;
+    unset = measure_run(s).agg;
   }
   {
     const ScopedEnv env({{"HDEM_SKIN", "0.3"},
@@ -515,7 +593,7 @@ TEST(TuneFile, MeasuredRowIgnoresKnobEnvironment) {
                          {"HDEM_HALO_COALESCE", "1"},
                          {"HDEM_SHARED_HALO", "1"},
                          {"HDEM_RANKS_PER_NODE", "2"}});
-    set = measure_run(s).run.agg;
+    set = measure_run(s).agg;
   }
   EXPECT_GT(unset.rebuilds, 0u);
   EXPECT_GT(unset.bytes_sent, 0u);

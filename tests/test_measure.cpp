@@ -21,6 +21,17 @@ bool same_particles(const std::vector<ParticleInit<D>>& a,
   return true;
 }
 
+// The record's workload is the spec's, field for field.
+void expect_same_workload(const Workload& a, const Workload& b) {
+  EXPECT_EQ(a.scenario, b.scenario);
+  EXPECT_EQ(a.D, b.D);
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.rc_factor, b.rc_factor);
+  EXPECT_EQ(a.velocity_scale, b.velocity_scale);
+  EXPECT_EQ(a.settled_stride, b.settled_stride);
+  EXPECT_EQ(a.cluster_fraction, b.cluster_fraction);
+}
+
 template <int D>
 void expect_scenarios_build_their_generators() {
   Workload w;
@@ -67,14 +78,21 @@ TEST(Measure, SerialRunPopulatesCounters) {
   s.D = 2;
   s.n = 5000;
   s.iterations = 3;
+  // The serial driver ignores the team knobs; the record says so.
+  s.nthreads = 4;
+  s.reduction = ReductionKind::kAtomicAll;
   const auto m = measure_run(s);
-  EXPECT_EQ(m.run.iterations, 3u);
-  EXPECT_EQ(m.run.nprocs, 1);
-  EXPECT_EQ(m.run.agg.position_updates, 3u * 5000u);
-  EXPECT_GT(m.run.agg.force_evals, 0u);
+  expect_same_workload(m.workload, s);
+  RunKnobs ran = s;
+  ran.nthreads = 1;
+  ran.reduction = ReductionKind::kColored;
+  EXPECT_TRUE(m.knobs == ran);
+  EXPECT_EQ(m.iterations, 3u);
+  EXPECT_EQ(m.agg.position_updates, 3u * 5000u);
+  EXPECT_GT(m.agg.force_evals, 0u);
   EXPECT_GT(m.host_seconds, 0.0);
   EXPECT_GT(m.host_seconds_per_iter(), 0.0);
-  EXPECT_TRUE(m.run.bytes_matrix.empty());
+  EXPECT_TRUE(m.bytes_matrix.empty());
 }
 
 TEST(Measure, SteadyWindowExcludesRebuilds) {
@@ -86,7 +104,7 @@ TEST(Measure, SteadyWindowExcludesRebuilds) {
   // The measured window must contain no link-list rebuild (paper excludes
   // link generation from t); the constructor's rebuild happens before the
   // steady-state snapshot and is subtracted out.
-  EXPECT_EQ(m.run.agg.rebuilds, 0u);
+  EXPECT_EQ(m.agg.rebuilds, 0u);
 }
 
 TEST(Measure, SmpModeCountsRegions) {
@@ -96,10 +114,16 @@ TEST(Measure, SmpModeCountsRegions) {
   s.mode = MeasureSpec::Mode::kSmp;
   s.nthreads = 3;
   s.iterations = 3;
+  // One undecomposed block, whatever the decomposition knobs say.
+  s.blocks_per_proc = 4;
   const auto m = measure_run(s);
-  EXPECT_EQ(m.run.nthreads, 3);
-  EXPECT_EQ(m.run.agg.parallel_regions, 2u * 3u);
-  EXPECT_GT(m.run.agg.plain_updates + m.run.agg.atomic_updates, 0u);
+  expect_same_workload(m.workload, s);
+  RunKnobs ran = s;
+  ran.nprocs = 1;
+  ran.blocks_per_proc = 1;
+  EXPECT_TRUE(m.knobs == ran);
+  EXPECT_EQ(m.agg.parallel_regions, 2u * 3u);
+  EXPECT_GT(m.agg.plain_updates + m.agg.atomic_updates, 0u);
 }
 
 TEST(Measure, MpModeFillsTrafficMatrix) {
@@ -110,15 +134,18 @@ TEST(Measure, MpModeFillsTrafficMatrix) {
   s.nprocs = 4;
   s.blocks_per_proc = 1;
   s.iterations = 3;
+  s.nthreads = 2;  // kMp runs one thread per rank
   const auto m = measure_run(s);
-  EXPECT_EQ(m.run.nprocs, 4);
-  EXPECT_EQ(m.run.nthreads, 1);
-  EXPECT_EQ(m.run.nblocks, 4);
-  ASSERT_EQ(m.run.bytes_matrix.size(), 16u);
+  expect_same_workload(m.workload, s);
+  RunKnobs ran = s;
+  ran.nthreads = 1;
+  EXPECT_TRUE(m.knobs == ran);
+  EXPECT_EQ(m.knobs.nprocs * m.knobs.blocks_per_proc, 4);
+  ASSERT_EQ(m.bytes_matrix.size(), 16u);
   std::uint64_t total = 0;
-  for (auto b : m.run.bytes_matrix) total += b;
+  for (auto b : m.bytes_matrix) total += b;
   EXPECT_GT(total, 0u) << "halo swaps must move bytes";
-  EXPECT_EQ(m.run.agg.particles, 4000u);
+  EXPECT_EQ(m.agg.particles, 4000u);
 }
 
 TEST(Measure, HybridModeUsesThreads) {
@@ -131,9 +158,10 @@ TEST(Measure, HybridModeUsesThreads) {
   s.blocks_per_proc = 2;
   s.iterations = 2;
   const auto m = measure_run(s);
-  EXPECT_EQ(m.run.nthreads, 2);
+  expect_same_workload(m.workload, s);
+  EXPECT_TRUE(m.knobs == static_cast<const RunKnobs&>(s));
   // 2 regions per block per iteration x 2 blocks x 2 iterations x 2 ranks.
-  EXPECT_EQ(m.run.agg.parallel_regions, 16u);
+  EXPECT_EQ(m.agg.parallel_regions, 16u);
 }
 
 TEST(Measure, FusedHybridMeasurement) {
@@ -148,7 +176,7 @@ TEST(Measure, FusedHybridMeasurement) {
   s.iterations = 2;
   const auto m = measure_run(s);
   // Fused: exactly 2 parallel regions per rank per iteration.
-  EXPECT_EQ(m.run.agg.parallel_regions, 2u * 2u * 2u);
+  EXPECT_EQ(m.agg.parallel_regions, 2u * 2u * 2u);
 }
 
 TEST(Measure, LinkCountScalesWithCutoff) {
@@ -161,8 +189,8 @@ TEST(Measure, LinkCountScalesWithCutoff) {
   b.rc_factor = 2.0;
   const auto ma = measure_run(a);
   const auto mb = measure_run(b);
-  const double ratio = static_cast<double>(mb.run.agg.force_evals) /
-                       static_cast<double>(ma.run.agg.force_evals);
+  const double ratio = static_cast<double>(mb.agg.force_evals) /
+                       static_cast<double>(ma.agg.force_evals);
   // Links scale as rc^3: (2/1.5)^3 ~ 2.37.
   EXPECT_NEAR(ratio, 2.37, 0.35);
 }
@@ -177,7 +205,7 @@ TEST(Measure, ReorderLowersLocalityMetric) {
   b.reorder = true;
   const auto ma = measure_run(a);
   const auto mb = measure_run(b);
-  EXPECT_LT(mb.run.agg.mean_link_gap(), 0.1 * ma.run.agg.mean_link_gap());
+  EXPECT_LT(mb.agg.mean_link_gap(), 0.1 * ma.agg.mean_link_gap());
 }
 
 TEST(Measure, PerRankCountersFilledForMpRuns) {
@@ -188,10 +216,10 @@ TEST(Measure, PerRankCountersFilledForMpRuns) {
   s.nprocs = 4;
   s.iterations = 2;
   const auto m = measure_run(s);
-  ASSERT_EQ(m.run.per_rank.size(), 4u);
+  ASSERT_EQ(m.per_rank.size(), 4u);
   std::uint64_t evals = 0;
-  for (const auto& c : m.run.per_rank) evals += c.force_evals;
-  EXPECT_EQ(evals, m.run.agg.force_evals);
+  for (const auto& c : m.per_rank) evals += c.force_evals;
+  EXPECT_EQ(evals, m.agg.force_evals);
 }
 
 TEST(Measure, ClusteredWorkloadIsImbalanced) {
@@ -206,7 +234,7 @@ TEST(Measure, ClusteredWorkloadIsImbalanced) {
   s.iterations = 2;
   const auto m = measure_run(s);
   std::uint64_t max_evals = 0, total = 0;
-  for (const auto& c : m.run.per_rank) {
+  for (const auto& c : m.per_rank) {
     max_evals = std::max(max_evals, c.force_evals);
     total += c.force_evals;
   }

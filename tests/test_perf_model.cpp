@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "perf/machine.hpp"
 #include "perf/paper_data.hpp"
 
@@ -10,11 +12,8 @@ namespace {
 
 RunMeasurement base_run() {
   RunMeasurement r;
-  r.D = 3;
-  r.n_global = 1000;
-  r.nprocs = 1;
-  r.nthreads = 1;
-  r.nblocks = 1;
+  r.workload.D = 3;
+  r.workload.n = 1000;
   r.iterations = 10;
   r.agg.force_evals = 10 * 5000;
   r.agg.position_updates = 10 * 1000;
@@ -59,7 +58,7 @@ TEST(CostModel, ThreadsDivideWorkTerms) {
   auto r = base_run();
   const auto m = toy_machine();
   const auto t1 = CostModel::predict(m, r);
-  r.nthreads = 2;
+  r.knobs.nthreads = 2;
   const auto t2 = CostModel::predict(m, r);
   EXPECT_NEAR(t2.compute, t1.compute / 2.0, 1e-15);
 }
@@ -93,7 +92,7 @@ TEST(CostModel, SaturationRaisesMemoryCost) {
   auto r = base_run();
   auto m = toy_machine();
   m.cache_bytes = 10.0;  // force misses
-  r.nthreads = 1;
+  r.knobs.nthreads = 1;
   const auto solo = CostModel::predict(m, r);
   ModelLayout l;
   l.ranks_per_node = 4;  // 4 busy CPUs share the node
@@ -104,7 +103,7 @@ TEST(CostModel, SaturationRaisesMemoryCost) {
 
 TEST(CostModel, AtomicAndSyncTerms) {
   auto r = base_run();
-  r.nthreads = 4;
+  r.knobs.nthreads = 4;
   r.agg.atomic_updates = 10 * 1000;
   r.agg.parallel_regions = 10 * 2;
   r.agg.barriers = 10 * 1;
@@ -125,7 +124,7 @@ TEST(CostModel, SyncFreeWithOneThread) {
 
 TEST(CostModel, TrafficSplitIntraVsInter) {
   RunMeasurement r = base_run();
-  r.nprocs = 4;
+  r.knobs.nprocs = 4;
   r.bytes_matrix.assign(16, 0);
   r.msgs_matrix.assign(16, 0);
   // rank 0 -> 1 (same node when rpn = 2), rank 0 -> 2 (different node).
@@ -148,7 +147,7 @@ TEST(CostModel, TrafficSplitIntraVsInter) {
 
 TEST(CostModel, SelfMessagesExcluded) {
   RunMeasurement r = base_run();
-  r.nprocs = 2;
+  r.knobs.nprocs = 2;
   r.bytes_matrix.assign(4, 0);
   r.msgs_matrix.assign(4, 0);
   r.bytes_matrix[0] = 999;  // 0 -> 0
@@ -159,7 +158,7 @@ TEST(CostModel, SelfMessagesExcluded) {
 
 TEST(CostModel, CommCostUsesLatencyAndBandwidth) {
   RunMeasurement r = base_run();
-  r.nprocs = 2;
+  r.knobs.nprocs = 2;
   r.bytes_matrix.assign(4, 0);
   r.msgs_matrix.assign(4, 0);
   r.bytes_matrix[0 * 2 + 1] = 1e6;
@@ -176,7 +175,7 @@ TEST(CostModel, CommCostUsesLatencyAndBandwidth) {
 // split, as the nonblocking halo schedule records it.
 RunMeasurement overlap_run(std::uint64_t overlapped, std::uint64_t exposed) {
   RunMeasurement r = base_run();
-  r.nprocs = 2;
+  r.knobs.nprocs = 2;
   r.bytes_matrix.assign(4, 0);
   r.msgs_matrix.assign(4, 0);
   r.bytes_matrix[0 * 2 + 1] = 1e6;
@@ -194,11 +193,11 @@ TEST(CostModel, OverlapDiscountRequiresOverlapSchedule) {
   const auto m = toy_machine();
   ModelLayout l;
   l.ranks_per_node = 1;
-  r.overlap = false;
+  r.knobs.overlap = false;
   const auto sync = CostModel::predict(m, r, l);
   EXPECT_DOUBLE_EQ(sync.comm_hidden, 0.0);
   EXPECT_NEAR(sync.comm, (10 * 1e-5 + 1e6 / 1e8) / 20.0, 1e-12);
-  r.overlap = true;
+  r.knobs.overlap = true;
   const auto over = CostModel::predict(m, r, l);
   EXPECT_GT(over.comm_hidden, 0.0);
   EXPECT_NEAR(over.comm, sync.comm - over.comm_hidden, 1e-15);
@@ -208,7 +207,7 @@ TEST(CostModel, OverlapHidesByteCostNotLatency) {
   // 25% overlapped: a quarter of the byte term hides behind compute; the
   // per-message latency term never does.  comm_hidden stays out of total().
   auto r = overlap_run(1000, 3000);
-  r.overlap = true;
+  r.knobs.overlap = true;
   const auto m = toy_machine();
   ModelLayout l;
   l.ranks_per_node = 1;
@@ -224,7 +223,7 @@ TEST(CostModel, OverlapHiddenCostCappedByCompute) {
   // Fully overlapped and bytes dwarf compute: the hidden share cannot
   // exceed what there is to hide behind.
   auto r = overlap_run(4000, 0);
-  r.overlap = true;
+  r.knobs.overlap = true;
   const auto m = toy_machine();
   ModelLayout l;
   l.ranks_per_node = 1;
@@ -247,22 +246,41 @@ TEST(CostModel, CountScaleExtrapolatesLinearly) {
 
 TEST(PaperScaleLayout, ScalesCountsGapsAndSurfaces) {
   RunMeasurement r = base_run();
-  r.n_global = 125000;
-  r.D = 3;
-  r.reordered = true;
+  r.workload.n = 125000;
+  r.workload.D = 3;
+  r.knobs.reorder = true;
   const auto l = paper_scale_layout(r, 4, 1.0e6);  // ratio 8
   EXPECT_EQ(l.ranks_per_node, 4);
   EXPECT_DOUBLE_EQ(l.count_scale, 8.0);
   EXPECT_DOUBLE_EQ(l.comm_scale, 4.0);       // 8^(2/3)
   EXPECT_DOUBLE_EQ(l.cache_gap_scale, 4.0);  // reordered: surface growth
   EXPECT_DOUBLE_EQ(l.sync_scale, 1.0);       // per-block counts don't scale
-  r.reordered = false;
+  r.knobs.reorder = false;
   EXPECT_DOUBLE_EQ(paper_scale_layout(r, 1, 1.0e6).cache_gap_scale, 8.0);
+}
+
+TEST(PaperScaleLayout, GapScaleExponents) {
+  RunMeasurement random_run;
+  random_run.workload.D = 3;
+  random_run.workload.n = 1000;
+  random_run.knobs.reorder = false;
+  EXPECT_DOUBLE_EQ(paper_scale_layout(random_run, 1, 8000.0).cache_gap_scale,
+                   8.0);
+  RunMeasurement ordered_run = random_run;
+  ordered_run.knobs.reorder = true;
+  EXPECT_DOUBLE_EQ(paper_scale_layout(ordered_run, 1, 8000.0).cache_gap_scale,
+                   4.0);
+  ordered_run.workload.D = 2;
+  EXPECT_NEAR(paper_scale_layout(ordered_run, 1, 8000.0).cache_gap_scale,
+              std::sqrt(8.0), 1e-12);
+  // Never scales down.
+  EXPECT_DOUBLE_EQ(paper_scale_layout(random_run, 1, 10.0).cache_gap_scale,
+                   1.0);
 }
 
 TEST(PaperScaleLayout, NoUpscalingBelowTarget) {
   RunMeasurement r = base_run();
-  r.n_global = 2000000;  // already larger than the target
+  r.workload.n = 2000000;  // already larger than the target
   const auto l = paper_scale_layout(r, 2, 1.0e6);
   EXPECT_DOUBLE_EQ(l.count_scale, 1.0);
   EXPECT_DOUBLE_EQ(l.comm_scale, 1.0);
@@ -273,9 +291,9 @@ TEST(CostModel, ContentionGrowsWithTeamAndVanishesSolo) {
   r.agg.plain_updates = 10 * 4000;
   auto m = toy_machine();
   m.t_contend = 1e-7;
-  r.nthreads = 1;
+  r.knobs.nthreads = 1;
   const auto solo = CostModel::predict(m, r);
-  r.nthreads = 4;
+  r.knobs.nthreads = 4;
   const auto quad = CostModel::predict(m, r);
   // Solo: no sharing, no contention.  T=4: 4000 updates * 1e-7 * 1 / 4.
   EXPECT_DOUBLE_EQ(solo.memory, 0.0);
@@ -304,8 +322,7 @@ TEST(CostModel, EfficiencyHelper) {
 }
 
 TEST(Machines, PresetsAreSane) {
-  for (const auto& m : {t3e900(), sun_hpc3500(), compaq_es40_cluster(),
-                        generic_host()}) {
+  for (const auto& m : {t3e900(), sun_hpc3500(), compaq_es40_cluster()}) {
     EXPECT_GT(m.cpus_per_node, 0);
     EXPECT_GT(m.cache_bytes, 0.0);
     EXPECT_GT(m.bw_inter, 0.0);
